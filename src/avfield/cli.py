@@ -4,7 +4,9 @@ Reports are JSON (nested summaries) or CSV (flat sweep tables).  Every
 JSON report embeds the resolved configuration and the package version so
 a run can be reproduced from its artifacts alone.  Exit codes: 0 success,
 1 configuration error, 2 numerical failure, 3 invariant violation found
-by verify.
+by verify.  A solve or sweep row that stops unconverged is reported on
+stderr (and in a solve report's ``warnings``) but does not change the
+exit code.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ def cmd_solve(args) -> int:
             raise ConfigurationError("--init from_file requires --state-in")
         warm, _ = load_state(args.state_in, expected=spec)
     res = minimize(params, spec, cfg, warm_start=warm)
+    for warning in res.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
     if args.state_out:
         save_state(args.state_out, res.u, args.beta, args.R)
     if args.history_out:
@@ -158,6 +162,13 @@ def cmd_sweep(args) -> int:
     finally:
         if args.out:
             sink.close()
+    for row in rows:
+        if not row.converged:
+            why = row.error or (
+                f"{row.iterations} iterations, projected gradient norm {row.grad_norm:.3e}"
+            )
+            print(f"warning: {args.axis}={row.axis_value!r} not converged: {why}",
+                  file=sys.stderr)
     if any(row.error for row in rows):
         return EXIT_NUMERICAL
     return EXIT_OK

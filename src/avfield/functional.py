@@ -29,7 +29,7 @@ from .grid import (
     spectral_gradient,
     spectral_laplacian,
 )
-from .kernels import KernelSet, TrapPotential, kernels_for
+from .kernels import KernelSet, TrapPotential, kernels_for, trap_values
 
 # Nodes with |u| below this are treated as zeros of u in energy_alt.
 ZERO_NODE_TOL = 1e-13
@@ -59,10 +59,6 @@ class EnergyBreakdown:
         return self.kinetic + self.mixed + self.quartic
 
 
-def _trap_values(spec: GridSpec, params: FunctionalParams) -> np.ndarray:
-    return params.trap.values(spec)
-
-
 def energy(
     u: WaveFunction,
     params: FunctionalParams,
@@ -75,7 +71,7 @@ def energy(
     rho = density(u)
     ux, uy = spectral_gradient(spec, u.values)
     kinetic = float(integrate(spec, np.abs(ux) ** 2 + np.abs(uy) ** 2))
-    potential = float(integrate(spec, _trap_values(spec, params) * rho))
+    potential = float(integrate(spec, trap_values(spec, params.trap) * rho))
     if params.beta == 0.0:
         return EnergyBreakdown(kinetic, 0.0, 0.0, potential)
     A = vector_potential(spec, rho, kernels)
@@ -111,7 +107,7 @@ def energy_alt(
     absu = np.sqrt(rho)
     ax_, ay_ = spectral_gradient(spec, absu)
     kin_abs = float(integrate(spec, np.abs(ax_) ** 2 + np.abs(ay_) ** 2))
-    potential = float(integrate(spec, _trap_values(spec, params) * rho))
+    potential = float(integrate(spec, trap_values(spec, params.trap) * rho))
 
     A = vector_potential(spec, rho, kernels)
     J = current(u)
@@ -148,7 +144,7 @@ def energy_and_gradient(
     if kernels is None:
         kernels = kernels_for(spec, params.R)
     v = u.values
-    V = _trap_values(spec, params)
+    V = trap_values(spec, params.trap)
     rho = density(u)
     kx, ky = spec.wavenumbers()
     vh = np.fft.fft2(v)

@@ -130,6 +130,14 @@ class TrapPotential:
 HARMONIC = TrapPotential(c=1.0, s=2.0)
 
 
+@lru_cache(maxsize=8)
+def trap_values(spec: GridSpec, trap: TrapPotential) -> np.ndarray:
+    """Memoized ``trap.values(spec)``; read-only, since every caller shares it."""
+    values = trap.values(spec)
+    values.flags.writeable = False
+    return values
+
+
 @dataclass
 class KernelSet:
     """Padded-grid samples of w_R, grad w_R, |grad w_R|^2, plus their FFTs.

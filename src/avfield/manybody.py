@@ -25,7 +25,7 @@ from .errors import DomainError
 from .fields import current, density, vector_potential
 from .functional import FunctionalParams, energy
 from .grid import GridSpec, WaveFunction, convolve, integrate, spectral_gradient
-from .kernels import KernelSet, TrapPotential, kernels_for
+from .kernels import KernelSet, TrapPotential, kernels_for, trap_values
 from .solver import SolveResult, SolverConfig, minimize
 
 
@@ -78,7 +78,7 @@ def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBre
     rho = density(u)
     ux, uy = spectral_gradient(spec, u.values)
     kinetic = float(integrate(spec, np.abs(ux) ** 2 + np.abs(uy) ** 2))
-    pot = float(integrate(spec, params.trap.values(spec) * rho))
+    pot = float(integrate(spec, trap_values(spec, params.trap) * rho))
     one_body = kinetic + pot
 
     beta, N = params.beta, params.N

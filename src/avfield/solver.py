@@ -1,12 +1,20 @@
 """Constrained minimization of the average-field energy over the unit sphere.
 
-Projected gradient descent with Armijo backtracking.  The raw projected
-gradient is passed through a spectral Sobolev preconditioner
-(k^2 + sigma)^-1 before stepping; this leaves the method (descent +
-line search, provable per-step decrease) intact while taming the
-stiffness of the spectral Laplacian.  Every accepted step decreases the
-energy and every iterate is renormalized, so the recorded history is
-monotone and unit-mass by construction.
+Preconditioned nonlinear conjugate gradients (Polak-Ribiere+) with
+Armijo backtracking, after Antoine, Levitt & Tang, J. Comput. Phys. 343
+(2017).  The projected gradient g is passed through the symmetric
+preconditioner P = P_D^1/2 (V + sigma)^-1 P_D^1/2, with the spectral
+Sobolev factor P_D = (k^2 + sigma)^-1, so that both the Laplacian's
+stiffness and the trap's stiffness at the box corners are tamed.  The
+direction d = proj(P g) is combined with the previous direction,
+
+    b = max(0, (<g, d> - <g_prev, d>) / <g_prev, d_prev>),
+    p = d + b proj(p_prev),
+
+and the method restarts with p = d whenever p is not a descent
+direction.  Every accepted step decreases the energy and every iterate
+is renormalized, so the recorded history is monotone and unit-mass by
+construction.  A solve that ends unconverged says so in its warnings.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from .functional import (
     energy_and_gradient,
     sphere_project,
 )
-from .kernels import KernelSet, kernels_for
+from .kernels import kernels_for, trap_values
 
 BOUNDARY_MASS_WARN = 1e-8
 MAX_BACKTRACKS = 60
@@ -88,9 +96,45 @@ def initial_state(
     return WaveFunction(spec, vals).normalized()
 
 
-def _preconditioner(spec: GridSpec, sigma: float) -> np.ndarray:
-    kx, ky = spec.wavenumbers()
-    return 1.0 / (kx**2 + ky**2 + sigma)
+def _precondition(g: np.ndarray, sqrt_pk: np.ndarray, inv_v: np.ndarray) -> np.ndarray:
+    """P g with P = P_D^1/2 (V + sigma)^-1 P_D^1/2 and P_D = (k^2 + sigma)^-1."""
+    h = np.fft.ifft2(sqrt_pk * np.fft.fft2(g))
+    h *= inv_v
+    return np.fft.ifft2(sqrt_pk * np.fft.fft2(h))
+
+
+def _cg_direction(
+    spec: GridSpec,
+    u: WaveFunction,
+    G: np.ndarray,
+    g: np.ndarray,
+    d: np.ndarray,
+    prev: tuple[np.ndarray, np.ndarray, float] | None,
+) -> tuple[np.ndarray, float]:
+    """Polak-Ribiere+ step direction p (the step is u - tau p) and its slope.
+
+    ``g`` is the projected gradient, ``d`` the projected preconditioned
+    gradient and ``prev`` holds g_prev, p_prev and <g_prev, d_prev> from
+    the last iteration (None on the first).  The slope -2 Re<p, G> is
+    negative: p restarts at d when the combination is not a descent
+    direction, and falls back to g when d is not one either (round-off
+    at a vanishing gradient).
+    """
+    if prev is not None:
+        g_prev, p_prev, gd_prev = prev
+        b = (inner(spec, g, d).real - inner(spec, g_prev, d).real) / gd_prev
+        if b > 0.0:
+            p = sphere_project(spec, p_prev, u)
+            p *= b
+            p += d
+            slope = -2.0 * inner(spec, p, G).real
+            if slope < 0.0:
+                return p, slope
+            del p
+    slope = -2.0 * inner(spec, d, G).real
+    if slope < 0.0:
+        return d, slope
+    return g, -2.0 * inner(spec, g, G).real
 
 
 def minimize(
@@ -108,6 +152,10 @@ def minimize(
             f"initial boundary density {u.boundary_mass():.3e} exceeds "
             f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
         )
+    if cfg.precondition:
+        kx, ky = spec.wavenumbers()
+        k2 = kx**2 + ky**2
+        V = trap_values(spec, params.trap)
 
     bd, G = energy_and_gradient(u, params, kernels)
     if not np.isfinite(bd.total):
@@ -118,6 +166,9 @@ def minimize(
     grad_norm = np.inf
     iterations = 0
     stagnant = 0  # consecutive accepted steps with below-round-off decrease
+    # g_prev, p_prev and <g_prev, d_prev>; only these two arrays outlive an
+    # iteration
+    prev: tuple[np.ndarray, np.ndarray, float] | None = None
 
     for it in range(cfg.max_iters):
         iterations = it
@@ -138,25 +189,24 @@ def minimize(
 
         if cfg.precondition:
             sigma = max(1.0, abs(bd.total))
-            pre = _preconditioner(spec, sigma)
-            d = np.fft.ifft2(pre * np.fft.fft2(pg))
+            d = _precondition(pg, 1.0 / np.sqrt(k2 + sigma), 1.0 / (V + sigma))
             d = sphere_project(spec, d, u)
-            slope = -2.0 * inner(spec, d, G).real
-            if slope >= 0.0:  # preconditioner failed to give descent
-                d = pg
-                slope = -2.0 * grad_norm**2
         else:
             d = pg
-            slope = -2.0 * grad_norm**2
+        gd = inner(spec, pg, d).real
+        p, slope = _cg_direction(spec, u, G, pg, d, prev)
+        prev = None  # release g_prev and p_prev before the line search
+        del d
 
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            trial_vals = u.values - tau * d
+            trial_vals = u.values - tau * p
             nrm = l2_norm(spec, trial_vals)
             if nrm == 0.0 or not np.isfinite(nrm):
                 tau *= cfg.backtrack_shrink
                 continue
             trial = WaveFunction(spec, trial_vals / nrm)
+            del trial_vals
             trial_bd = energy(trial, params, kernels)
             if not np.isfinite(trial_bd.total):
                 raise NumericalFailureError(
@@ -179,12 +229,20 @@ def minimize(
         drop = bd.total - trial_bd.total
         stagnant = stagnant + 1 if drop <= 4e-16 * max(1.0, abs(bd.total)) else 0
         u = trial
+        del G
         bd, G = energy_and_gradient(u, params, kernels)
         history.append(bd.total)
         tau = min(tau / cfg.backtrack_shrink, 1e3)
+        prev = (pg, p, gd)
+        del pg, p
     else:
         iterations = cfg.max_iters
 
+    if not converged:
+        warnings.append(
+            f"not converged after {iterations} iterations: projected gradient "
+            f"norm {grad_norm:.3e} (tol_grad {cfg.tol_grad:g})"
+        )
     if u.boundary_mass() > BOUNDARY_MASS_WARN:
         warnings.append(
             f"final boundary density {u.boundary_mass():.3e} exceeds "

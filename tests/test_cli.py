@@ -131,6 +131,24 @@ def test_sweep_command_csv(tmp_path):
     assert float(first[1]) == pytest.approx(2.0, abs=1e-6)
 
 
+def test_unconverged_solve_and_sweep_report_on_stderr(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    common = ["--beta", "0.5", "--R", "0.2", "--grid", "32", "--box", "8",
+              "--tol-grad", "1e-8", "--max-iters", "2"]
+    assert run(["solve", *common, "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "not converged after 2 iterations" in err
+    assert any("not converged" in w for w in json.loads(out.read_text())["warnings"])
+
+    code = run(["sweep", "--axis", "beta", "--values", "0.5,0.6", *common[2:],
+                "--out", str(tmp_path / "sweep.csv")])
+    assert code == EXIT_OK
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split(" not converged")[0] for line in lines] == [
+        "warning: beta=0.5", "warning: beta=0.6"
+    ]
+
+
 def test_sweep_empty_values(capsys):
     assert run(["sweep", "--axis", "beta", "--values", " "]) == EXIT_CONFIG
 

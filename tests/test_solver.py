@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from avfield.errors import ConfigurationError
-from avfield.functional import FunctionalParams
-from avfield.grid import GridSpec, gaussian_state
+from avfield.functional import FunctionalParams, energy_and_gradient, sphere_project
+from avfield.grid import GridSpec, gaussian_state, inner
 from avfield import solver
 from avfield.kernels import TrapPotential
 from avfield.solver import SolverConfig, initial_state, minimize, sweep
@@ -122,8 +122,76 @@ def test_sweep_axis_validation(spec, trap):
         sweep("beta", [], params, spec)
 
 
+def lowest_eigenvalue(spec, c, s):
+    """Smallest eigenvalue of F^-1 k^2 F + V, the beta = 0 Rayleigh quotient.
+
+    Wavenumbers and trap are built here rather than taken from avfield; the
+    Nyquist mode is zeroed as in the spectral derivative.
+    """
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n, h = spec.n, spec.h
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+    k[n // 2] = 0.0
+    k2 = k[np.newaxis, :] ** 2 + k[:, np.newaxis] ** 2
+    a = -spec.half_width + h * np.arange(n)
+    x, y = np.meshgrid(a, a, indexing="xy")
+    V = c * np.hypot(x, y) ** s
+
+    def apply(v):
+        f = v.reshape(n, n)
+        return (np.fft.ifft2(k2 * np.fft.fft2(f)).real + V * f).ravel()
+
+    op = LinearOperator((n * n, n * n), matvec=apply, dtype=float)
+    v0 = np.exp(-(x**2 + y**2) / 2.0).ravel()
+    return float(eigsh(op, k=1, which="SA", v0=v0, tol=1e-12,
+                       return_eigenvectors=False)[0])
+
+
 def test_sweep_s_axis_changes_trap(spec, trap):
     params = FunctionalParams(beta=0.0, R=0.0, trap=trap)
     rows = sweep("s", [2.0, 4.0], params, spec, SolverConfig(tol_grad=1e-4))
+    assert all(r.converged for r in rows)
     assert rows[0].breakdown.total == pytest.approx(2.0, abs=1e-6)
-    assert rows[1].breakdown.total != pytest.approx(2.0, abs=1e-3)
+    assert rows[1].breakdown.total == pytest.approx(lowest_eigenvalue(spec, 1.0, 4.0), rel=1e-6)
+
+
+def test_iteration_budget_of_reference_solve(spec, trap):
+    # steepest descent with the Laplacian-only preconditioner took 283
+    # iterations here
+    res = minimize(FunctionalParams(beta=1.0, R=0.1, trap=trap), spec,
+                   SolverConfig(tol_grad=1e-6))
+    assert res.converged
+    assert res.iterations <= 60
+
+
+def test_unconverged_solve_warns(spec, trap):
+    res = minimize(FunctionalParams(beta=0.5, R=0.2, trap=trap), spec,
+                   SolverConfig(max_iters=3, tol_grad=1e-8))
+    assert not res.converged
+    assert any("not converged after 3 iterations" in w for w in res.warnings)
+    ok = minimize(FunctionalParams(beta=0.0, R=0.0, trap=trap), spec)
+    assert ok.converged and ok.warnings == []
+
+
+def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
+    params = FunctionalParams(beta=0.5, R=0.2, trap=trap)
+    u = initial_state(spec, SolverConfig(init="random", seed=3))
+    _, G = energy_and_gradient(u, params)
+    g = sphere_project(spec, G, u)
+    d = sphere_project(spec, np.fft.ifft2(np.fft.fft2(g) / 3.0), u)
+    gd = inner(spec, g, d).real
+
+    # p_prev = -d with b = 1000 makes d + b p_prev point uphill
+    planted = (np.zeros_like(g), -d, 1e-3 * gd)
+    p, slope = solver._cg_direction(spec, u, G, g, d, planted)
+    assert p is d
+    assert slope == pytest.approx(-2.0 * inner(spec, d, G).real)
+    assert slope < 0.0
+
+    # a benign previous direction is kept with the Polak-Ribiere+ weight
+    p_prev = sphere_project(spec, np.roll(d, 1, axis=0), u)
+    p, slope = solver._cg_direction(spec, u, G, g, d, (np.zeros_like(g), p_prev, gd))
+    assert np.allclose(p, d + sphere_project(spec, p_prev, u))
+    assert slope == pytest.approx(-2.0 * inner(spec, p, G).real)
+    assert slope < 0.0
