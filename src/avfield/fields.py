@@ -10,14 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NumericalConsistencyError
-from .grid import GridSpec, WaveFunction, convolve, spectral_gradient
+from .grid import GridSpec, WaveFunction, padded_irfft, padded_rfft, spectral_gradient
 from .kernels import KernelSet
-
-# Imaginary residue in the current below this is round-off and discarded;
-# above IMAG_HARD_TOL it signals a bug and raises.
-IMAG_DROP_TOL = 1e-12
-IMAG_HARD_TOL = 1e-8
 
 
 def density(u: WaveFunction) -> np.ndarray:
@@ -26,39 +20,36 @@ def density(u: WaveFunction) -> np.ndarray:
 
 
 def current(u: WaveFunction) -> np.ndarray:
-    """Phase current density J[u] = (i/2)(u grad conj(u) - conj(u) grad u).
+    """Phase current density J[u] = Im(conj(u) grad u), real by construction.
 
-    Shape (2, n, n), real.  Equals rho * grad(phase) for u = sqrt(rho) e^{i phi}.
+    Shape (2, n, n).  Equals rho * grad(phase) for u = sqrt(rho) e^{i phi}.
     """
-    ux, uy = spectral_gradient(u.grid, u.values)
     v = u.values
-    jx = 0.5j * (v * np.conj(ux) - np.conj(v) * ux)
-    jy = 0.5j * (v * np.conj(uy) - np.conj(v) * uy)
-    scale = max(float(np.abs(jx).max()), float(np.abs(jy).max()), 1.0)
-    residue = max(float(np.abs(jx.imag).max()), float(np.abs(jy.imag).max()))
-    if residue > IMAG_HARD_TOL * scale:
-        raise NumericalConsistencyError(
-            f"current has imaginary residue {residue:.3e} (scale {scale:.3e})"
-        )
-    return np.stack([jx.real, jy.real], axis=0)
+    return np.imag(np.conj(v) * np.stack(spectral_gradient(u.grid, v)))
 
 
 def vector_potential(spec: GridSpec, rho: np.ndarray, kernels: KernelSet) -> np.ndarray:
     """A^R[rho] = perp-grad w_R * rho, shape (2, n, n)."""
+    return vector_potential_of_spectrum(spec, padded_rfft(spec, rho), kernels)
+
+
+def vector_potential_of_spectrum(
+    spec: GridSpec, rho_hat: np.ndarray, kernels: KernelSet
+) -> np.ndarray:
+    """A^R[rho] from the padded spectrum ``padded_rfft(spec, rho)``."""
     gx, gy = kernels.grad_w_fft
-    ax = -convolve(spec, rho, gy)
-    ay = convolve(spec, rho, gx)
-    return np.stack([ax, ay], axis=0)
+    h2 = spec.h**2
+    return np.stack(
+        [-h2 * padded_irfft(spec, rho_hat * gy), h2 * padded_irfft(spec, rho_hat * gx)]
+    )
 
 
 def curl_A(spec: GridSpec, A: np.ndarray) -> np.ndarray:
     """Spectral curl d1 A2 - d2 A1."""
-    a2x, _ = spectral_gradient(spec, A[1])
-    _, a1y = spectral_gradient(spec, A[0])
-    return (a2x - a1y).real
+    kx, ky = spec.wavenumbers()
+    return np.fft.ifft2(1j * (kx * np.fft.fft2(A[1]) - ky * np.fft.fft2(A[0]))).real
 
 
 def divergence(spec: GridSpec, A: np.ndarray) -> np.ndarray:
-    a1x, _ = spectral_gradient(spec, A[0])
-    _, a2y = spectral_gradient(spec, A[1])
-    return (a1x + a2y).real
+    kx, ky = spec.wavenumbers()
+    return np.fft.ifft2(1j * (kx * np.fft.fft2(A[0]) + ky * np.fft.fft2(A[1]))).real

@@ -11,23 +11,30 @@ to account for the dependence of A on rho, which produces a scalar
 self-consistency potential W on top of the magnetic Schroedinger action;
 its sign and normalization are pinned by the finite-difference contract
 exercised in the tests rather than trusted.
+
+Every evaluation (``energy``, ``energy_and_gradient``, ``gradient``,
+``energy_alt``, ``magnetic_field`` and the product-state energy in
+``manybody``) reads the density, spectral derivatives, phase current and
+vector potential of a state from one ``StateFields``, which computes each
+of them at most once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .fields import current, curl_A, density, vector_potential
+from .fields import curl_A, vector_potential_of_spectrum
 from .grid import (
     GridSpec,
     WaveFunction,
-    convolve,
     inner,
     integrate,
+    padded_irfft,
+    padded_rfft,
     spectral_gradient,
-    spectral_laplacian,
 )
 from .kernels import KernelSet, TrapPotential, kernels_for, trap_values
 
@@ -59,26 +66,134 @@ class EnergyBreakdown:
         return self.kinetic + self.mixed + self.quartic
 
 
+class StateFields:
+    """One state's quantities shared by every term of the functional.
+
+    Each is computed on first use and then kept, so an evaluation pays
+    once for what it reads:
+
+    - ``spectrum``: fft2 of u, one n x n transform;
+    - ``grad``: (d_x u, d_y u) from the spectrum, two n x n inverses;
+    - ``J``: the phase current Im(conj(u) grad u), real by construction;
+    - ``rho_hat``: the padded spectrum of rho = |u|^2, one pruned padded
+      transform shared by A and any other convolution of rho;
+    - ``A``: A^R[rho] from ``rho_hat``, two pruned padded inverses.
+    """
+
+    def __init__(self, u: WaveFunction, kernels: KernelSet):
+        self.spec = u.grid
+        self.values = u.values
+        self.kernels = kernels
+        self.rho = np.abs(u.values) ** 2
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.fft.fft2(self.values)
+
+    @cached_property
+    def grad(self) -> tuple[np.ndarray, np.ndarray]:
+        kx, ky = self.spec.wavenumbers()
+        return np.fft.ifft2(1j * kx * self.spectrum), np.fft.ifft2(1j * ky * self.spectrum)
+
+    @cached_property
+    def J(self) -> tuple[np.ndarray, np.ndarray]:
+        cu = np.conj(self.values)
+        return np.imag(cu * self.grad[0]), np.imag(cu * self.grad[1])
+
+    @cached_property
+    def rho_hat(self) -> np.ndarray:
+        return padded_rfft(self.spec, self.rho)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return vector_potential_of_spectrum(self.spec, self.rho_hat, self.kernels)
+
+
+def _state(u: WaveFunction, params: FunctionalParams, kernels: KernelSet | None) -> StateFields:
+    return StateFields(u, kernels_for(u.grid, params.R) if kernels is None else kernels)
+
+
+def evaluate(
+    fields: StateFields, params: FunctionalParams, with_gradient: bool
+) -> tuple[EnergyBreakdown, np.ndarray | None]:
+    """The functional's one evaluation path: breakdown, and G if asked.
+
+    G satisfies d/dt E[u + t v] at t=0 equal to 2 Re<v, G> for any
+    direction v.  G = (-i grad + beta A)^2 u + V u + W u, with the
+    self-consistency potential
+    W = -2 beta sum_c grad^perp w_R,c * (J + beta rho A)_c.
+
+    Transforms per call for beta != 0: 3 n x n and 3 padded for the
+    energy, 6 and 6 with the gradient; for beta = 0 only the spectrum of
+    u, plus one inverse for the gradient.
+    """
+    spec, v, rho = fields.spec, fields.values, fields.rho
+    V = trap_values(spec, params.trap)
+    kx, ky = spec.wavenumbers()
+    k2 = kx**2 + ky**2
+    # int |grad u|^2 by Parseval, without an inverse transform
+    kinetic = float((k2 * np.abs(fields.spectrum) ** 2).sum()) * spec.h**2 / spec.n**2
+    potential = float(integrate(spec, V * rho))
+    beta = params.beta
+    if beta == 0.0:
+        bd = EnergyBreakdown(kinetic, 0.0, 0.0, potential)
+        if not with_gradient:
+            return bd, None
+        return bd, np.fft.ifft2(k2 * fields.spectrum) + V * v
+
+    ax, ay = fields.A
+    jx, jy = fields.J
+    a2 = ax**2 + ay**2
+    mixed = 2.0 * beta * float(integrate(spec, ax * jx + ay * jy))
+    quartic = beta**2 * float(integrate(spec, rho * a2))
+    bd = EnergyBreakdown(kinetic, mixed, quartic, potential)
+    if not with_gradient:
+        return bd, None
+
+    # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))
+    # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint
+    # (the spectral product rule only holds up to aliasing).  -lap u and
+    # div(A u) share one inverse transform.
+    ux, uy = fields.grad
+    lin_hat = k2 * fields.spectrum
+    lin_hat += beta * (kx * np.fft.fft2(ax * v) + ky * np.fft.fft2(ay * v))
+    # W from the gauge-covariant current J + beta rho A; its two
+    # convolutions are summed in Fourier space before one inverse
+    gx, gy = fields.kernels.grad_w_fft
+    w_hat = padded_rfft(spec, jy + beta * rho * ay) * gx
+    w_hat -= padded_rfft(spec, jx + beta * rho * ax) * gy
+    W = (-2.0 * beta * spec.h**2) * padded_irfft(spec, w_hat)
+    G = np.fft.ifft2(lin_hat)
+    G -= 1j * beta * (ax * ux + ay * uy)
+    G += (beta**2 * a2 + V + W) * v
+    return bd, G
+
+
 def energy(
     u: WaveFunction,
     params: FunctionalParams,
     kernels: KernelSet | None = None,
 ) -> EnergyBreakdown:
     """Term-by-term average-field energy of u (norm-agnostic)."""
-    spec = u.grid
-    if kernels is None:
-        kernels = kernels_for(spec, params.R)
-    rho = density(u)
-    ux, uy = spectral_gradient(spec, u.values)
-    kinetic = float(integrate(spec, np.abs(ux) ** 2 + np.abs(uy) ** 2))
-    potential = float(integrate(spec, trap_values(spec, params.trap) * rho))
-    if params.beta == 0.0:
-        return EnergyBreakdown(kinetic, 0.0, 0.0, potential)
-    A = vector_potential(spec, rho, kernels)
-    J = current(u)
-    mixed = 2.0 * params.beta * float(integrate(spec, A[0] * J[0] + A[1] * J[1]))
-    quartic = params.beta**2 * float(integrate(spec, rho * (A[0] ** 2 + A[1] ** 2)))
-    return EnergyBreakdown(kinetic, mixed, quartic, potential)
+    return evaluate(_state(u, params, kernels), params, with_gradient=False)[0]
+
+
+def energy_and_gradient(
+    u: WaveFunction,
+    params: FunctionalParams,
+    kernels: KernelSet | None = None,
+) -> tuple[EnergyBreakdown, np.ndarray]:
+    """Breakdown and first variation G of the energy; see ``evaluate``."""
+    return evaluate(_state(u, params, kernels), params, with_gradient=True)
+
+
+def gradient(
+    u: WaveFunction,
+    params: FunctionalParams,
+    kernels: KernelSet | None = None,
+) -> np.ndarray:
+    """First variation of the energy; see ``evaluate``."""
+    return energy_and_gradient(u, params, kernels)[1]
 
 
 @dataclass(frozen=True)
@@ -101,16 +216,15 @@ def energy_alt(
     its |u| -> 0 limit beta^2 rho |A|^2 and the result is flagged.
     """
     spec = u.grid
-    if kernels is None:
-        kernels = kernels_for(spec, params.R)
-    rho = density(u)
+    fields = _state(u, params, kernels)
+    rho = fields.rho
     absu = np.sqrt(rho)
     ax_, ay_ = spectral_gradient(spec, absu)
     kin_abs = float(integrate(spec, np.abs(ax_) ** 2 + np.abs(ay_) ** 2))
     potential = float(integrate(spec, trap_values(spec, params.trap) * rho))
 
-    A = vector_potential(spec, rho, kernels)
-    J = current(u)
+    A = fields.A
+    J = fields.J
     zero = absu < ZERO_NODE_TOL
     n_zero = int(zero.sum())
     safe = np.where(zero, 1.0, absu)
@@ -128,70 +242,6 @@ def energy_alt(
     )
 
 
-def energy_and_gradient(
-    u: WaveFunction,
-    params: FunctionalParams,
-    kernels: KernelSet | None = None,
-) -> tuple[EnergyBreakdown, np.ndarray]:
-    """Breakdown and first variation sharing rho, A, J, and spectral grads.
-
-    The gradient G satisfies d/dt E[u + t v] at t=0 equal to 2 Re<v, G>
-    for any direction v.  G = (-i grad + beta A)^2 u + V u + W u, with
-    the self-consistency potential
-    W = -2 beta sum_c grad^perp w_R,c * (J + beta rho A)_c.
-    """
-    spec = u.grid
-    if kernels is None:
-        kernels = kernels_for(spec, params.R)
-    v = u.values
-    V = trap_values(spec, params.trap)
-    rho = density(u)
-    kx, ky = spec.wavenumbers()
-    vh = np.fft.fft2(v)
-    ux = np.fft.ifft2(1j * kx * vh)
-    uy = np.fft.ifft2(1j * ky * vh)
-    lap = np.fft.ifft2(-(kx**2 + ky**2) * vh)
-    kinetic = float(integrate(spec, np.abs(ux) ** 2 + np.abs(uy) ** 2))
-    potential = float(integrate(spec, V * rho))
-    if params.beta == 0.0:
-        return EnergyBreakdown(kinetic, 0.0, 0.0, potential), -lap + V * v
-
-    A = vector_potential(spec, rho, kernels)
-    jx = (0.5j * (v * np.conj(ux) - np.conj(v) * ux)).real
-    jy = (0.5j * (v * np.conj(uy) - np.conj(v) * uy)).real
-    beta = params.beta
-    mixed = 2.0 * beta * float(integrate(spec, A[0] * jx + A[1] * jy))
-    quartic = beta**2 * float(integrate(spec, rho * (A[0] ** 2 + A[1] ** 2)))
-
-    # (-i grad + beta A)^2 u; the symmetric form A.grad u + div(A u) is the
-    # exact discrete adjoint (spectral product rule only holds up to aliasing)
-    dax, _ = spectral_gradient(spec, A[0] * v)
-    _, day = spectral_gradient(spec, A[1] * v)
-    mag = (
-        -lap
-        - 1j * beta * (A[0] * ux + A[1] * uy + dax + day)
-        + beta**2 * (A[0] ** 2 + A[1] ** 2) * v
-    )
-    # gauge-covariant current J + beta rho A, convolved with perp-grad w_R
-    fx = jx + beta * rho * A[0]
-    fy = jy + beta * rho * A[1]
-    gx, gy = kernels.grad_w_fft
-    kx_fx = -convolve(spec, fx, gy)  # perp component 1 against fx
-    ky_fy = convolve(spec, fy, gx)  # perp component 2 against fy
-    W = -2.0 * beta * (kx_fx + ky_fy)
-    G = mag + (V + W) * v
-    return EnergyBreakdown(kinetic, mixed, quartic, potential), G
-
-
-def gradient(
-    u: WaveFunction,
-    params: FunctionalParams,
-    kernels: KernelSet | None = None,
-) -> np.ndarray:
-    """First variation of the energy; see ``energy_and_gradient``."""
-    return energy_and_gradient(u, params, kernels)[1]
-
-
 def sphere_project(spec: GridSpec, g: np.ndarray, u: WaveFunction) -> np.ndarray:
     """Tangent-space projection g - Re<u, g> u for normalized u."""
     coef = inner(spec, u.values, g).real
@@ -201,11 +251,7 @@ def sphere_project(spec: GridSpec, g: np.ndarray, u: WaveFunction) -> np.ndarray
 def magnetic_field(u: WaveFunction, params: FunctionalParams,
                    kernels: KernelSet | None = None) -> np.ndarray:
     """curl(beta A^R[rho]), the self-generated magnetic field diagnostic."""
-    spec = u.grid
-    if kernels is None:
-        kernels = kernels_for(spec, params.R)
-    A = vector_potential(spec, density(u), kernels)
-    return params.beta * curl_A(spec, A)
+    return params.beta * curl_A(u.grid, _state(u, params, kernels).A)
 
 
 def winding_number(u: WaveFunction, radius: float | None = None) -> int:

@@ -30,15 +30,12 @@ class GridSpec:
 
     n: int
     half_width: float
-    pad_factor: int = 2
 
     def __post_init__(self):
         if self.n < 16 or not _is_power_of_two(self.n):
             raise ConfigurationError(f"grid size must be a power of two >= 16, got {self.n}")
         if self.half_width <= 0:
             raise ConfigurationError(f"half_width must be positive, got {self.half_width}")
-        if self.pad_factor != 2:
-            raise ConfigurationError("only pad_factor=2 is supported")
 
     @property
     def h(self) -> float:
@@ -106,12 +103,24 @@ def kernel_fft(spec: GridSpec, kernel: np.ndarray) -> np.ndarray:
     The kernel must be sampled on the 2n x 2n offsets returned by
     ``padded_axis`` (origin at index n along each axis).
     """
-    m = spec.pad_factor * spec.n
+    m = 2 * spec.n
     if kernel.shape != (m, m):
         raise ConfigurationError(
             f"kernel shape {kernel.shape} does not match padded grid ({m}, {m})"
         )
     return np.fft.rfft2(np.fft.ifftshift(kernel))
+
+
+def padded_rfft(spec: GridSpec, f: np.ndarray) -> np.ndarray:
+    """Half spectrum, shape (2n, n+1), of the real n x n field f zero-padded to 2n x 2n."""
+    m = 2 * spec.n
+    return np.fft.fft(np.fft.rfft(f, n=m, axis=1), n=m, axis=0)
+
+
+def padded_irfft(spec: GridSpec, fh: np.ndarray) -> np.ndarray:
+    """Primary n x n block of the real inverse of a (2n, n+1) padded half spectrum."""
+    n = spec.n
+    return np.fft.irfft(np.fft.ifft(fh, axis=0)[:n], n=2 * n, axis=1)[:, :n]
 
 
 def convolve(spec: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -121,19 +130,16 @@ def convolve(spec: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     precomputed rfft2 (as returned by ``kernel_fft``).
     """
     n = spec.n
-    m = spec.pad_factor * n
+    m = 2 * n
     if kernel.shape == (m, m):
         kh = kernel_fft(spec, kernel)
-    elif kernel.shape == (m, m // 2 + 1):
+    elif kernel.shape == (m, n + 1):
         kh = kernel
     else:
         raise ConfigurationError(
             f"kernel shape {kernel.shape} does not match padded grid ({m}, {m})"
         )
-    fp = np.zeros((m, m), dtype=float)
-    fp[:n, :n] = f
-    out = np.fft.irfft2(np.fft.rfft2(fp) * kh, s=(m, m))
-    return out[:n, :n] * spec.h**2
+    return padded_irfft(spec, padded_rfft(spec, f) * kh) * spec.h**2
 
 
 @dataclass

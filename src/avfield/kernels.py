@@ -46,12 +46,6 @@ class SmearedCoulomb:
         if self.R < 0:
             raise DomainError(f"smearing radius must be >= 0, got {self.R}")
 
-    def w(self, x) -> np.ndarray:
-        """Potential value at points x of shape (..., 2)."""
-        x = np.asarray(x, dtype=float)
-        r = np.hypot(x[..., 0], x[..., 1])
-        return self.w_radial(r)
-
     def w_radial(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
         if self.R == 0.0:
@@ -140,59 +134,30 @@ def trap_values(spec: GridSpec, trap: TrapPotential) -> np.ndarray:
 
 @dataclass
 class KernelSet:
-    """Padded-grid samples of w_R, grad w_R, |grad w_R|^2, plus their FFTs.
+    """Padded-grid FFTs (``kernel_fft``) of grad w_R and |grad w_R|^2.
 
-    ``grad_w_sq`` is None for R = 0: |grad w_0|^2 is not locally
+    ``grad_w_sq_fft`` is None for R = 0: |grad w_0|^2 is not locally
     integrable and the singular two-body term is only offered for R > 0.
-    The origin sample of ``w`` at R = 0 is log(h/2), a documented
-    convention used only in diagnostics, never in the energy.
+    The samples themselves are not kept; every convolution reads the FFTs.
     """
 
     R: float
-    w: np.ndarray
-    grad_w: np.ndarray
-    grad_w_sq: np.ndarray | None
     grad_w_fft: tuple[np.ndarray, np.ndarray]
     grad_w_sq_fft: np.ndarray | None
 
 
 def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
-    """Sample the kernel family on the 2n x 2n padded grid."""
+    """Sample grad w_R on the 2n x 2n padded grid and keep the FFTs."""
     if R < 0:
         raise DomainError(f"smearing radius must be >= 0, got R={R}")
     a = spec.padded_axis()
     x, y = np.meshgrid(a, a, indexing="xy")
-    pts = np.stack([x, y], axis=-1)
-    kern = SmearedCoulomb(R)
-
-    r = np.hypot(x, y)
-    origin = r == 0.0
-    if R == 0.0:
-        w = np.empty_like(r)
-        with np.errstate(divide="ignore"):
-            w[~origin] = np.log(r[~origin])
-        w[origin] = np.log(spec.h / 2.0)
-    else:
-        w = kern.w_radial(r)
-
-    g = kern.grad_w(pts)
-    grad_w = np.stack([g[..., 0], g[..., 1]], axis=0)
-
-    if R > 0.0:
-        grad_w_sq = grad_w[0] ** 2 + grad_w[1] ** 2
-        grad_w_sq_fft = kernel_fft(spec, grad_w_sq)
-    else:
-        grad_w_sq = None
-        grad_w_sq_fft = None
-
-    grad_w_fft = (kernel_fft(spec, grad_w[0]), kernel_fft(spec, grad_w[1]))
+    g = SmearedCoulomb(R).grad_w(np.stack([x, y], axis=-1))
+    gx, gy = g[..., 0], g[..., 1]
     return KernelSet(
         R=R,
-        w=w,
-        grad_w=grad_w,
-        grad_w_sq=grad_w_sq,
-        grad_w_fft=grad_w_fft,
-        grad_w_sq_fft=grad_w_sq_fft,
+        grad_w_fft=(kernel_fft(spec, gx), kernel_fft(spec, gy)),
+        grad_w_sq_fft=kernel_fft(spec, gx**2 + gy**2) if R > 0.0 else None,
     )
 
 

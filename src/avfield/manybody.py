@@ -19,13 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .fields import current, density, vector_potential
-from .functional import FunctionalParams, energy
-from .grid import GridSpec, WaveFunction, convolve, integrate, spectral_gradient
-from .kernels import KernelSet, TrapPotential, kernels_for, trap_values
+from .functional import FunctionalParams, StateFields, evaluate
+from .grid import GridSpec, WaveFunction, convolve, integrate, padded_irfft
+from .kernels import KernelSet, TrapPotential, kernels_for
 from .solver import SolveResult, SolverConfig, minimize
 
 
@@ -58,40 +55,37 @@ class ManyBodyBreakdown:
         return self.one_body + self.mixed + self.three_body + self.singular
 
 
+def _pair_term(fields: StateFields) -> float:
+    """int (|grad w_R|^2 * rho) rho from the state's padded density spectrum."""
+    spec = fields.spec
+    if fields.kernels.grad_w_sq_fft is None:
+        raise DomainError("pair dispersion requires R > 0")
+    conv = padded_irfft(spec, fields.rho_hat * fields.kernels.grad_w_sq_fft) * spec.h**2
+    return float(integrate(spec, conv * fields.rho))
+
+
 def pair_dispersion(
     u: WaveFunction, R: float, kernels: KernelSet | None = None
 ) -> float:
     """int (|grad w_R|^2 * rho) rho, the N-independent singular-term factor."""
-    spec = u.grid
     if kernels is None:
-        kernels = kernels_for(spec, R)
-    if kernels.grad_w_sq_fft is None:
-        raise DomainError("pair dispersion requires R > 0")
-    rho = density(u)
-    return float(integrate(spec, convolve(spec, rho, kernels.grad_w_sq_fft) * rho))
+        kernels = kernels_for(u.grid, R)
+    return _pair_term(StateFields(u, kernels))
 
 
 def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBreakdown:
     """Exact per-particle energy of the N-fold product of u."""
-    spec = u.grid
-    kernels = kernels_for(spec, params.R)
-    rho = density(u)
-    ux, uy = spectral_gradient(spec, u.values)
-    kinetic = float(integrate(spec, np.abs(ux) ** 2 + np.abs(uy) ** 2))
-    pot = float(integrate(spec, trap_values(spec, params.trap) * rho))
-    one_body = kinetic + pot
+    fields = StateFields(u, kernels_for(u.grid, params.R))
+    fp = FunctionalParams(beta=params.beta, R=params.R, trap=params.trap)
+    bd, _ = evaluate(fields, fp, with_gradient=False)
+    one_body = bd.kinetic + bd.potential
 
     beta, N = params.beta, params.N
     if beta == 0.0:
         return ManyBodyBreakdown(one_body, 0.0, 0.0, 0.0)
-
-    A = vector_potential(spec, rho, kernels)
-    J = current(u)
-    mixed = 2.0 * beta * float(integrate(spec, A[0] * J[0] + A[1] * J[1]))
-    quad = float(integrate(spec, rho * (A[0] ** 2 + A[1] ** 2)))
-    three_body = beta**2 * (N - 2) / (N - 1) * quad
-    singular = beta**2 / (N - 1) * pair_dispersion(u, params.R, kernels)
-    return ManyBodyBreakdown(one_body, mixed, three_body, singular)
+    three_body = (N - 2) / (N - 1) * bd.quartic
+    singular = beta**2 / (N - 1) * _pair_term(fields)
+    return ManyBodyBreakdown(one_body, bd.mixed, three_body, singular)
 
 
 def mixed_term_crosscheck(u: WaveFunction, R: float) -> tuple[float, float]:
@@ -103,15 +97,14 @@ def mixed_term_crosscheck(u: WaveFunction, R: float) -> tuple[float, float]:
     a joint test of the convolution layer and the kernel's antisymmetry.
     """
     spec = u.grid
-    kernels = kernels_for(spec, R)
-    rho = density(u)
-    J = current(u)
-    gx, gy = kernels.grad_w_fft
+    fields = StateFields(u, kernels_for(spec, R))
+    J = fields.J
+    gx, gy = fields.kernels.grad_w_fft
     # inner integral of the unfolded form; the kernel components are odd,
     # so convolving J against +g gives the sign-flipped evaluation
     b1 = convolve(spec, J[0], gy) - convolve(spec, J[1], gx)
-    route_a = 2.0 * float(integrate(spec, rho * b1))
-    A = vector_potential(spec, rho, kernels)
+    route_a = 2.0 * float(integrate(spec, fields.rho * b1))
+    A = fields.A
     route_b = 2.0 * float(integrate(spec, A[0] * J[0] + A[1] * J[1]))
     return route_a, route_b
 

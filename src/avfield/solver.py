@@ -237,6 +237,9 @@ def minimize(
         del pg, p
     else:
         iterations = cfg.max_iters
+        # the norm computed in the loop belongs to the iterate before the
+        # last accepted step
+        grad_norm = l2_norm(spec, sphere_project(spec, G, u))
 
     if not converged:
         warnings.append(

@@ -15,12 +15,14 @@ from avfield.functional import (
 from avfield.grid import (
     GridSpec,
     WaveFunction,
+    convolve,
     gaussian_state,
     inner,
     integrate,
     spectral_gradient,
+    spectral_laplacian,
 )
-from avfield.kernels import TrapPotential
+from avfield.kernels import TrapPotential, kernels_for
 
 
 @pytest.fixture
@@ -117,6 +119,118 @@ def test_fused_energy_matches_plain(spec, trap):
     bd, G = energy_and_gradient(u, params)
     assert bd.total == pytest.approx(energy(u, params).total, abs=1e-13)
     assert np.allclose(G, gradient(u, params))
+
+
+def plain_energy_and_gradient(u, params):
+    """The functional and its first variation written out term by term.
+
+    Every derivative and convolution is its own transform, as in the
+    formulas of the ``functional`` module docstring; no quantity is shared.
+    """
+    spec, v, beta = u.grid, u.values, params.beta
+    rho = np.abs(v) ** 2
+    V = params.trap.values(spec)
+    gx, gy = kernels_for(spec, params.R).grad_w_fft
+    ux, uy = spectral_gradient(spec, v)
+    ax = -convolve(spec, rho, gy)
+    ay = convolve(spec, rho, gx)
+    jx = (0.5j * (v * np.conj(ux) - np.conj(v) * ux)).real
+    jy = (0.5j * (v * np.conj(uy) - np.conj(v) * uy)).real
+    terms = (
+        float(integrate(spec, np.abs(ux) ** 2 + np.abs(uy) ** 2)),
+        2.0 * beta * float(integrate(spec, ax * jx + ay * jy)),
+        beta**2 * float(integrate(spec, rho * (ax**2 + ay**2))),
+        float(integrate(spec, V * rho)),
+    )
+    dax, _ = spectral_gradient(spec, ax * v)
+    _, day = spectral_gradient(spec, ay * v)
+    mag = (
+        -spectral_laplacian(spec, v)
+        - 1j * beta * (ax * ux + ay * uy + dax + day)
+        + beta**2 * (ax**2 + ay**2) * v
+    )
+    fx = jx + beta * rho * ax
+    fy = jy + beta * rho * ay
+    W = -2.0 * beta * (-convolve(spec, fx, gy) + convolve(spec, fy, gx))
+    return terms, mag + (V + W) * v
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("R", [0.0, 0.2])
+def test_evaluation_core_matches_plain_formulas(spec, trap, beta, R):
+    u = random_state(spec, np.random.default_rng(11))
+    params = FunctionalParams(beta=beta, R=R, trap=trap)
+    terms, G_ref = plain_energy_and_gradient(u, params)
+    total = sum(terms)
+    bd, G = energy_and_gradient(u, params)
+    got = (bd.kinetic, bd.mixed, bd.quartic, bd.potential)
+    assert np.allclose(got, terms, rtol=0.0, atol=1e-13 * abs(total))
+    assert bd.total == pytest.approx(total, rel=1e-13)
+    assert energy(u, params) == bd
+    assert np.abs(G - G_ref).max() <= 1e-13 * np.abs(G_ref).max()
+
+
+class FFTCounter:
+    """Counts the numpy.fft calls made while installed.
+
+    n x n transforms count one per call; a padded 2n x 2n transform counts
+    one per full 2D call, or one per pair of one-axis calls.
+    """
+
+    NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
+             "fftn", "ifftn", "rfftn", "irfftn")
+
+    def __init__(self, monkeypatch, n):
+        self.n = n
+        self.busy = False
+        self.n2 = self.padded2d = self.axis = 0
+        for name in self.NAMES:
+            monkeypatch.setattr(np.fft, name, self._wrap(getattr(np.fft, name), name))
+
+    def _wrap(self, fn, name):
+        def counted(a, *args, **kwargs):
+            if self.busy:
+                return fn(a, *args, **kwargs)
+            self.busy = True
+            try:
+                out = fn(a, *args, **kwargs)
+            finally:
+                self.busy = False
+            assert np.ndim(a) == 2, f"{name} on shape {np.shape(a)}"
+            if name[-1] in "2n":
+                if np.shape(a) == (self.n, self.n):
+                    self.n2 += 1
+                else:
+                    self.padded2d += 1
+            else:
+                assert 2 * self.n in (kwargs.get("n"), np.shape(a)[kwargs.get("axis", -1)])
+                self.axis += 1
+            return out
+
+        return counted
+
+    def take(self):
+        """(n x n transforms, padded transforms) since the last take."""
+        got = (self.n2, self.padded2d + self.axis / 2)
+        self.n2 = self.padded2d = self.axis = 0
+        return got
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+def test_fft_budget_per_evaluation(spec, trap, monkeypatch, beta):
+    u = random_state(spec, np.random.default_rng(12))
+    params = FunctionalParams(beta=beta, R=0.2, trap=trap)
+    kernels_for(spec, params.R)  # kernel FFTs are built once per grid, outside the count
+    counter = FFTCounter(monkeypatch, spec.n)
+    energy(u, params)
+    n2_e, pad_e = counter.take()
+    energy_and_gradient(u, params)
+    n2_eg, pad_eg = counter.take()
+    assert n2_e <= 3 and n2_eg <= 6
+    if beta == 0.0:
+        assert pad_e == 0 and pad_eg == 0
+    else:
+        assert pad_e <= 3 and pad_eg <= 6
 
 
 def test_sphere_projection_is_tangent(spec, trap):

@@ -125,12 +125,15 @@ def test_trap_validation_and_values():
 def test_kernel_sampling_and_cache():
     spec = GridSpec(n=16, half_width=2.0)
     ks = sample_kernels(spec, 0.3)
-    assert ks.grad_w.shape == (2, 32, 32)
-    assert ks.grad_w_sq is not None
+    assert all(f.shape == (32, 17) for f in ks.grad_w_fft)
+    assert ks.grad_w_sq_fft is not None
     # odd symmetry of the gradient sample about the centered origin
-    for comp in ks.grad_w:
+    a = spec.padded_axis()
+    x, y = np.meshgrid(a, a, indexing="xy")
+    g = SmearedCoulomb(0.3).grad_w(np.stack([x, y], axis=-1))
+    for comp in (g[..., 0], g[..., 1]):
         sub = comp[1:, 1:]
         assert np.allclose(sub, -sub[::-1, ::-1], atol=1e-15)
     point = sample_kernels(spec, 0.0)
-    assert point.grad_w_sq is None
+    assert point.grad_w_sq_fft is None
     assert kernels_for(spec, 0.3) is kernels_for(spec, 0.3)

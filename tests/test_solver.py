@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from avfield.errors import ConfigurationError
-from avfield.functional import FunctionalParams, energy_and_gradient, sphere_project
-from avfield.grid import GridSpec, gaussian_state, inner
+from avfield.functional import FunctionalParams, energy_and_gradient, gradient, sphere_project
+from avfield.grid import GridSpec, gaussian_state, inner, l2_norm
 from avfield import solver
 from avfield.kernels import TrapPotential
 from avfield.solver import SolverConfig, initial_state, minimize, sweep
@@ -172,6 +172,15 @@ def test_unconverged_solve_warns(spec, trap):
     assert any("not converged after 3 iterations" in w for w in res.warnings)
     ok = minimize(FunctionalParams(beta=0.0, R=0.0, trap=trap), spec)
     assert ok.converged and ok.warnings == []
+
+
+def test_max_iters_reports_the_returned_state_gradient_norm(spec, trap):
+    params = FunctionalParams(beta=0.5, R=0.2, trap=trap)
+    res = minimize(params, spec, SolverConfig(max_iters=3, tol_grad=1e-8))
+    assert res.iterations == 3 and not res.converged
+    want = l2_norm(spec, sphere_project(spec, gradient(res.u, params), res.u))
+    assert res.grad_norm == pytest.approx(want, rel=1e-12)
+    assert any(f"gradient norm {want:.3e}" in w for w in res.warnings)
 
 
 def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
