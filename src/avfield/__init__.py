@@ -7,7 +7,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     FormatError,
-    NumericalConsistencyError,
     NumericalFailureError,
     SolverStalledError,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "ConfigurationError",
     "DomainError",
     "FormatError",
-    "NumericalConsistencyError",
     "NumericalFailureError",
     "SolverStalledError",
     "GridSpec",

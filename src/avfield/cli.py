@@ -25,7 +25,6 @@ from .errors import (
     ConfigurationError,
     DomainError,
     FormatError,
-    NumericalConsistencyError,
     NumericalFailureError,
     SolverStalledError,
 )
@@ -457,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, DomainError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailureError, SolverStalledError, NumericalConsistencyError) as exc:
+    except (NumericalFailureError, SolverStalledError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

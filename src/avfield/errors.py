@@ -13,10 +13,6 @@ class DomainError(AvfieldError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class NumericalConsistencyError(AvfieldError):
-    """A quantity that should vanish numerically exceeded its tolerance."""
-
-
 class NumericalFailureError(AvfieldError):
     """Non-finite values encountered during a computation.
 

@@ -16,7 +16,10 @@ Every evaluation (``energy``, ``energy_and_gradient``, ``gradient``,
 ``energy_alt``, ``magnetic_field`` and the product-state energy in
 ``manybody``) reads the density, spectral derivatives, phase current and
 vector potential of a state from one ``StateFields``, which computes each
-of them at most once.
+of them at most once.  ``energy``, ``energy_and_gradient`` and
+``gradient`` also accept a ``StateFields`` in place of the state: what it
+has already computed is reused, so a state whose energy was evaluated
+pays for its gradient only the transforms the gradient adds.
 """
 
 from __future__ import annotations
@@ -109,7 +112,11 @@ class StateFields:
         return vector_potential_of_spectrum(self.spec, self.rho_hat, self.kernels)
 
 
-def _state(u: WaveFunction, params: FunctionalParams, kernels: KernelSet | None) -> StateFields:
+def _state(
+    u: WaveFunction | StateFields, params: FunctionalParams, kernels: KernelSet | None
+) -> StateFields:
+    if isinstance(u, StateFields):
+        return u
     return StateFields(u, kernels_for(u.grid, params.R) if kernels is None else kernels)
 
 
@@ -170,25 +177,35 @@ def evaluate(
 
 
 def energy(
-    u: WaveFunction,
+    u: WaveFunction | StateFields,
     params: FunctionalParams,
     kernels: KernelSet | None = None,
 ) -> EnergyBreakdown:
-    """Term-by-term average-field energy of u (norm-agnostic)."""
+    """Term-by-term average-field energy of u (norm-agnostic).
+
+    ``u`` may be a ``StateFields``; its cached quantities are reused and
+    the ones the energy computes are kept on it, and its own kernels are
+    used in place of ``kernels``.
+    """
     return evaluate(_state(u, params, kernels), params, with_gradient=False)[0]
 
 
 def energy_and_gradient(
-    u: WaveFunction,
+    u: WaveFunction | StateFields,
     params: FunctionalParams,
     kernels: KernelSet | None = None,
 ) -> tuple[EnergyBreakdown, np.ndarray]:
-    """Breakdown and first variation G of the energy; see ``evaluate``."""
+    """Breakdown and first variation G of the energy; see ``evaluate``.
+
+    ``u`` may be a ``StateFields``, as in ``energy``.  After ``energy``
+    on the same fields this adds 3 n x n and 3 padded transforms (one
+    n x n at beta = 0) and returns what a fresh state would, bit for bit.
+    """
     return evaluate(_state(u, params, kernels), params, with_gradient=True)
 
 
 def gradient(
-    u: WaveFunction,
+    u: WaveFunction | StateFields,
     params: FunctionalParams,
     kernels: KernelSet | None = None,
 ) -> np.ndarray:

@@ -252,7 +252,6 @@ def regime_triangles(
         return out[:m]
     if regime == "all_short":
         base = random_triangles(rng, m)
-        emax = batch_edges(base).min(axis=1)  # keep shape ratios; rescale below
         target = R * rng.uniform(0.3, 0.95, size=m)
         return _rescale_to_max_edge(base, target)
     if regime == "two_short":

@@ -12,7 +12,9 @@ direction d = proj(P g) is combined with the previous direction,
     p = d + b proj(p_prev),
 
 and the method restarts with p = d whenever p is not a descent
-direction.  Every accepted step decreases the energy and every iterate
+direction.  The gradient of an accepted step is evaluated from the
+``StateFields`` its line-search energy built, so no state is transformed
+twice.  Every accepted step decreases the energy and every iterate
 is renormalized, so the recorded history is monotone and unit-mass by
 construction.  A solve that ends unconverged says so in its warnings.
 """
@@ -28,6 +30,7 @@ from .grid import GridSpec, WaveFunction, gaussian_state, inner, l2_norm
 from .functional import (
     EnergyBreakdown,
     FunctionalParams,
+    StateFields,
     energy,
     energy_and_gradient,
     sphere_project,
@@ -207,7 +210,8 @@ def minimize(
                 continue
             trial = WaveFunction(spec, trial_vals / nrm)
             del trial_vals
-            trial_bd = energy(trial, params, kernels)
+            trial_fields = StateFields(trial, kernels)
+            trial_bd = energy(trial_fields, params)
             if not np.isfinite(trial_bd.total):
                 raise NumericalFailureError(
                     "non-finite energy during line search", last_state=u
@@ -215,6 +219,7 @@ def minimize(
             if trial_bd.total <= bd.total + cfg.armijo_c * tau * slope:
                 accepted = True
                 break
+            del trial_fields
             tau *= cfg.backtrack_shrink
         if not accepted:
             # at numerical stationarity the line search cannot decrease further
@@ -230,7 +235,10 @@ def minimize(
         stagnant = stagnant + 1 if drop <= 4e-16 * max(1.0, abs(bd.total)) else 0
         u = trial
         del G
-        bd, G = energy_and_gradient(u, params, kernels)
+        # the gradient reuses what the line search computed for this state;
+        # its fields are not kept into the next line search
+        bd, G = energy_and_gradient(trial_fields, params)
+        del trial_fields
         history.append(bd.total)
         tau = min(tau / cfg.backtrack_shrink, 1e3)
         prev = (pg, p, gd)

@@ -4,6 +4,7 @@ import pytest
 from avfield.fields import density
 from avfield.functional import (
     FunctionalParams,
+    StateFields,
     energy,
     energy_alt,
     energy_and_gradient,
@@ -23,6 +24,8 @@ from avfield.grid import (
     spectral_laplacian,
 )
 from avfield.kernels import TrapPotential, kernels_for
+
+from fft_counter import FFTCounter
 
 
 @pytest.fixture
@@ -170,52 +173,6 @@ def test_evaluation_core_matches_plain_formulas(spec, trap, beta, R):
     assert np.abs(G - G_ref).max() <= 1e-13 * np.abs(G_ref).max()
 
 
-class FFTCounter:
-    """Counts the numpy.fft calls made while installed.
-
-    n x n transforms count one per call; a padded 2n x 2n transform counts
-    one per full 2D call, or one per pair of one-axis calls.
-    """
-
-    NAMES = ("fft", "ifft", "rfft", "irfft", "fft2", "ifft2", "rfft2", "irfft2",
-             "fftn", "ifftn", "rfftn", "irfftn")
-
-    def __init__(self, monkeypatch, n):
-        self.n = n
-        self.busy = False
-        self.n2 = self.padded2d = self.axis = 0
-        for name in self.NAMES:
-            monkeypatch.setattr(np.fft, name, self._wrap(getattr(np.fft, name), name))
-
-    def _wrap(self, fn, name):
-        def counted(a, *args, **kwargs):
-            if self.busy:
-                return fn(a, *args, **kwargs)
-            self.busy = True
-            try:
-                out = fn(a, *args, **kwargs)
-            finally:
-                self.busy = False
-            assert np.ndim(a) == 2, f"{name} on shape {np.shape(a)}"
-            if name[-1] in "2n":
-                if np.shape(a) == (self.n, self.n):
-                    self.n2 += 1
-                else:
-                    self.padded2d += 1
-            else:
-                assert 2 * self.n in (kwargs.get("n"), np.shape(a)[kwargs.get("axis", -1)])
-                self.axis += 1
-            return out
-
-        return counted
-
-    def take(self):
-        """(n x n transforms, padded transforms) since the last take."""
-        got = (self.n2, self.padded2d + self.axis / 2)
-        self.n2 = self.padded2d = self.axis = 0
-        return got
-
-
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 def test_fft_budget_per_evaluation(spec, trap, monkeypatch, beta):
     u = random_state(spec, np.random.default_rng(12))
@@ -231,6 +188,27 @@ def test_fft_budget_per_evaluation(spec, trap, monkeypatch, beta):
         assert pad_e == 0 and pad_eg == 0
     else:
         assert pad_e <= 3 and pad_eg <= 6
+
+
+@pytest.mark.parametrize("beta", [0.0, 0.7])
+@pytest.mark.parametrize("R", [0.0, 0.2])
+def test_gradient_from_evaluated_fields_matches_fresh_state(spec, trap, monkeypatch, beta, R):
+    u = random_state(spec, np.random.default_rng(13))
+    params = FunctionalParams(beta=beta, R=R, trap=trap)
+    kernels = kernels_for(spec, R)
+    bd_ref, G_ref = energy_and_gradient(u, params)
+    counter = FFTCounter(monkeypatch, spec.n)
+    fields = StateFields(u, kernels)
+    assert energy(fields, params) == bd_ref
+    counter.take()
+    bd, G = energy_and_gradient(fields, params)
+    n2, pad = counter.take()
+    assert bd == bd_ref
+    assert G.tobytes() == G_ref.tobytes()
+    if beta == 0.0:
+        assert n2 <= 1 and pad == 0
+    else:
+        assert n2 <= 3 and pad <= 3
 
 
 def test_sphere_projection_is_tangent(spec, trap):

@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 from avfield.errors import ConfigurationError
-from avfield.functional import FunctionalParams, energy_and_gradient, gradient, sphere_project
+from avfield.functional import (
+    FunctionalParams,
+    StateFields,
+    energy_and_gradient,
+    gradient,
+    sphere_project,
+)
 from avfield.grid import GridSpec, gaussian_state, inner, l2_norm
 from avfield import solver
-from avfield.kernels import TrapPotential
+from avfield.kernels import TrapPotential, kernels_for
 from avfield.solver import SolverConfig, initial_state, minimize, sweep
+
+from fft_counter import FFTCounter
 
 
 @pytest.fixture
@@ -204,3 +212,34 @@ def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
     assert np.allclose(p, d + sphere_project(spec, p_prev, u))
     assert slope == pytest.approx(-2.0 * inner(spec, p, G).real)
     assert slope < 0.0
+
+
+def test_accepted_trial_is_evaluated_once(spec, trap, monkeypatch):
+    params = FunctionalParams(beta=1.0, R=0.2, trap=trap)
+    kernels_for(spec, params.R)  # kernel FFTs are built once per grid, outside the count
+    real_init, real_energy = StateFields.__init__, solver.energy
+    calls = {"build": 0, "line_search": 0}
+
+    def counting_init(self, *args, **kwargs):
+        calls["build"] += 1
+        real_init(self, *args, **kwargs)
+
+    def counting_energy(*args, **kwargs):
+        calls["line_search"] += 1
+        return real_energy(*args, **kwargs)
+
+    monkeypatch.setattr(StateFields, "__init__", counting_init)
+    monkeypatch.setattr(solver, "energy", counting_energy)
+    counter = FFTCounter(monkeypatch, spec.n)
+    res = minimize(params, spec, SolverConfig(tol_grad=1e-6))
+    n2, pad = counter.take()
+    assert res.converged and res.iterations > 0
+    # the initial state and each line-search trial, nothing else
+    assert calls["build"] == 1 + calls["line_search"]
+    # 3 padded transforms for the energy of each state (the initial one and
+    # the trials), 3 more for each gradient (the initial one and one per
+    # accepted step), and for n x n 4 more per preconditioner application
+    states = 1 + calls["line_search"]
+    gradients = res.iterations + 1
+    assert pad <= 3 * states + 3 * gradients
+    assert n2 <= 3 * states + 3 * gradients + 4 * res.iterations
