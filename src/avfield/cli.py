@@ -4,9 +4,11 @@ Reports are JSON (nested summaries) or CSV (flat sweep tables).  Every
 JSON report embeds the resolved configuration and the package version so
 a run can be reproduced from its artifacts alone.  Exit codes: 0 success,
 1 configuration error, 2 numerical failure, 3 invariant violation found
-by verify.  A solve or sweep row that stops unconverged is reported on
-stderr (and in a solve report's ``warnings``) but does not change the
-exit code.
+by verify, 4 a solve or a sweep row stopped unconverged.  An unconverged
+solve or sweep row is also reported on stderr (and in a solve report's
+``warnings``), after its report, state and CSV are written.  A sweep row
+that raised a numerical failure makes the sweep exit 2, whether or not
+other rows are unconverged.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_INVARIANT = 3
+EXIT_UNCONVERGED = 4
 
 SWEEP_COLUMNS = [
     "axis_value",
@@ -129,7 +132,7 @@ def cmd_solve(args) -> int:
         },
         args.out,
     )
-    return EXIT_OK
+    return EXIT_OK if res.converged else EXIT_UNCONVERGED
 
 
 def cmd_sweep(args) -> int:
@@ -170,7 +173,7 @@ def cmd_sweep(args) -> int:
                   file=sys.stderr)
     if any(row.error for row in rows):
         return EXIT_NUMERICAL
-    return EXIT_OK
+    return EXIT_OK if all(row.converged for row in rows) else EXIT_UNCONVERGED
 
 
 def cmd_energy(args) -> int:
@@ -420,7 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="minimize along one parameter axis")
-    sp.add_argument("--axis", choices=["beta", "R", "s", "N"], required=True)
+    sp.add_argument("--axis", choices=["beta", "R", "s"], required=True)
     sp.add_argument("--values", required=True, help="comma-separated axis values")
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--R", type=float, default=0.0)

@@ -81,13 +81,16 @@ class StateFields:
     - ``rho_hat``: the padded spectrum of rho = |u|^2, one pruned padded
       transform shared by A and any other convolution of rho;
     - ``A``: A^R[rho] from ``rho_hat``, two pruned padded inverses.
+
+    The density rho = |u|^2 is formed on construction, unless the caller
+    passes it in because it already has it.
     """
 
-    def __init__(self, u: WaveFunction, kernels: KernelSet):
+    def __init__(self, u: WaveFunction, kernels: KernelSet, rho: np.ndarray | None = None):
         self.spec = u.grid
         self.values = u.values
         self.kernels = kernels
-        self.rho = np.abs(u.values) ** 2
+        self.rho = np.abs(u.values) ** 2 if rho is None else rho
 
     @cached_property
     def spectrum(self) -> np.ndarray:

@@ -13,7 +13,8 @@ error controlled by the box size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -148,7 +149,6 @@ class WaveFunction:
 
     grid: GridSpec
     values: np.ndarray
-    l2_norm: float = field(init=False)
 
     def __post_init__(self):
         if self.values.shape != (self.grid.n, self.grid.n):
@@ -156,7 +156,11 @@ class WaveFunction:
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
         self.values = np.asarray(self.values, dtype=complex)
-        self.l2_norm = float(np.sum(np.abs(self.values) ** 2) * self.grid.h**2)
+
+    @cached_property
+    def l2_norm(self) -> float:
+        """Discrete L^2 mass h^2 sum |u|^2, computed on first use."""
+        return float(np.sum(np.abs(self.values) ** 2) * self.grid.h**2)
 
     def normalized(self) -> "WaveFunction":
         if self.l2_norm == 0.0:

@@ -2,20 +2,42 @@
 
 Preconditioned nonlinear conjugate gradients (Polak-Ribiere+) with
 Armijo backtracking, after Antoine, Levitt & Tang, J. Comput. Phys. 343
-(2017).  The projected gradient g is passed through the symmetric
-preconditioner P = P_D^1/2 (V + sigma)^-1 P_D^1/2, with the spectral
-Sobolev factor P_D = (k^2 + sigma)^-1, so that both the Laplacian's
-stiffness and the trap's stiffness at the box corners are tamed.  The
-direction d = proj(P g) is combined with the previous direction,
+(2017).  The projected gradient g is passed through a symmetric
+preconditioner built from the spectral Sobolev factor
+P_D = (k^2 + sigma)^-1 and the trap factor (V + sigma)^-1, so that both
+the Laplacian's stiffness and the trap's stiffness at the box corners
+are tamed.  The two factors are combined in one of two orders, chosen
+once per solve from the grid and the trap:
+
+    (V + sigma)^-1/2 P_D (V + sigma)^-1/2    if max V > max k^2,
+    P_D^1/2 (V + sigma)^-1 P_D^1/2           otherwise.
+
+Neither order wins everywhere.  Trap-first took the quartic trap at
+n = 32, L = 8 (max V / max k^2 = 236) in 38 iterations against 344, and
+the harmonic beta = 1 solve at n = 256 (ratio 0.026) in 98 against 15.
+Measured, it won at every ratio above 2.2 and lost at every one below 1.
+
+The direction d = proj(P g) is combined with the previous direction,
 
     b = max(0, (<g, d> - <g_prev, d>) / <g_prev, d_prev>),
     p = d + b proj(p_prev),
 
 and the method restarts with p = d whenever p is not a descent
-direction.  The gradient of an accepted step is evaluated from the
-``StateFields`` its line-search energy built, so no state is transformed
-twice.  Every accepted step decreases the energy and every iterate
-is renormalized, so the recorded history is monotone and unit-mass by
+direction.  Each line search starts from a model of the last one
+(Nocedal & Wright, Numerical Optimization, section 3.5): after a step
+tau is accepted with energies E0 -> E1 and slope s < 0, the quadratic
+through E0, s and E1 has curvature c = E1 - E0 - s tau, and the next
+search starts at its minimizer -s tau^2 / (2c), clamped to
+[tau / 2, 4 tau] and to 1e3; when c <= 0 it starts at tau / backtrack_shrink.
+A trial that fails the Armijo test is shrunk by ``backtrack_shrink``:
+backtracking by the same quadratic model took the quartic solve at
+n = 128 from 99 iterations to 337.
+
+The gradient of an accepted step is evaluated from the ``StateFields``
+its line-search energy built, and a trial's |v|^2 both normalizes it and
+becomes its density, so no state is transformed or squared twice.
+Every accepted step decreases the energy and every iterate is
+renormalized, so the recorded history is monotone and unit-mass by
 construction.  A solve that ends unconverged says so in its warnings.
 """
 
@@ -99,11 +121,26 @@ def initial_state(
     return WaveFunction(spec, vals).normalized()
 
 
-def _precondition(g: np.ndarray, sqrt_pk: np.ndarray, inv_v: np.ndarray) -> np.ndarray:
-    """P g with P = P_D^1/2 (V + sigma)^-1 P_D^1/2 and P_D = (k^2 + sigma)^-1."""
-    h = np.fft.ifft2(sqrt_pk * np.fft.fft2(g))
-    h *= inv_v
-    return np.fft.ifft2(sqrt_pk * np.fft.fft2(h))
+def _precondition(
+    g: np.ndarray, k2: np.ndarray, V: np.ndarray, sigma: float, trap_first: bool
+) -> np.ndarray:
+    """P g for a symmetric combination of P_D = (k^2 + sigma)^-1 and (V + sigma)^-1.
+
+    With ``trap_first`` P = (V + sigma)^-1/2 P_D (V + sigma)^-1/2, one
+    transform pair; otherwise P = P_D^1/2 (V + sigma)^-1 P_D^1/2, two pairs.
+    Both are symmetric and positive definite.  The solver takes the trap
+    outermost when the trap is the stiffer operator on the grid,
+    max V > max k^2 (see the module docstring).
+    """
+    if trap_first:
+        s = 1.0 / np.sqrt(V + sigma)
+        h = np.fft.ifft2(np.fft.fft2(s * g) / (k2 + sigma))
+        h *= s
+        return h
+    s = 1.0 / np.sqrt(k2 + sigma)
+    h = np.fft.ifft2(s * np.fft.fft2(g))
+    h /= V + sigma
+    return np.fft.ifft2(s * np.fft.fft2(h))
 
 
 def _cg_direction(
@@ -159,6 +196,8 @@ def minimize(
         kx, ky = spec.wavenumbers()
         k2 = kx**2 + ky**2
         V = trap_values(spec, params.trap)
+        # chosen once per solve: the stiffer operator's factor goes outside
+        trap_first = float(V.max()) > float(k2.max())
 
     bd, G = energy_and_gradient(u, params, kernels)
     if not np.isfinite(bd.total):
@@ -192,8 +231,7 @@ def minimize(
 
         if cfg.precondition:
             sigma = max(1.0, abs(bd.total))
-            d = _precondition(pg, 1.0 / np.sqrt(k2 + sigma), 1.0 / (V + sigma))
-            d = sphere_project(spec, d, u)
+            d = sphere_project(spec, _precondition(pg, k2, V, sigma, trap_first), u)
         else:
             d = pg
         gd = inner(spec, pg, d).real
@@ -204,13 +242,20 @@ def minimize(
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial_vals = u.values - tau * p
-            nrm = l2_norm(spec, trial_vals)
-            if nrm == 0.0 or not np.isfinite(nrm):
+            # |v|^2 is formed once: its sum normalizes v and, rescaled, it
+            # is the trial's density
+            rho = trial_vals.real**2 + trial_vals.imag**2
+            mass = float(rho.sum()) * spec.h**2
+            if mass == 0.0 or not np.isfinite(mass):
                 tau *= cfg.backtrack_shrink
                 continue
-            trial = WaveFunction(spec, trial_vals / nrm)
-            del trial_vals
-            trial_fields = StateFields(trial, kernels)
+            trial_vals /= np.sqrt(mass)
+            rho /= mass
+            trial = WaveFunction(spec, trial_vals)
+            trial_fields = StateFields(trial, kernels, rho)
+            # the fields own rho now, so a rejected trial's density is freed
+            # with them, before the next trial allocates its own
+            del rho
             trial_bd = energy(trial_fields, params)
             if not np.isfinite(trial_bd.total):
                 raise NumericalFailureError(
@@ -231,6 +276,8 @@ def minimize(
                 f"(grad norm {grad_norm:.3e})",
                 last_state=u,
             )
+        # curvature of the quadratic through E(0), E'(0) = slope and E(tau)
+        curv = trial_bd.total - bd.total - slope * tau
         drop = bd.total - trial_bd.total
         stagnant = stagnant + 1 if drop <= 4e-16 * max(1.0, abs(bd.total)) else 0
         u = trial
@@ -240,7 +287,12 @@ def minimize(
         bd, G = energy_and_gradient(trial_fields, params)
         del trial_fields
         history.append(bd.total)
-        tau = min(tau / cfg.backtrack_shrink, 1e3)
+        if curv > 0.0:
+            # the next search starts at that quadratic's minimizer
+            tau = min(max(-slope * tau * tau / (2.0 * curv), 0.5 * tau), 4.0 * tau)
+        else:
+            tau /= cfg.backtrack_shrink
+        tau = min(tau, 1e3)
         prev = (pg, p, gd)
         del pg, p
     else:
@@ -289,9 +341,6 @@ def _apply_axis(params: FunctionalParams, axis: str, value: float) -> Functional
         return replace(params, R=value)
     if axis == "s":
         return replace(params, trap=replace(params.trap, s=value))
-    if axis == "N":
-        # N does not enter the functional; rows differ only in reporting
-        return params
     raise ConfigurationError(f"unknown sweep axis {axis!r}")
 
 

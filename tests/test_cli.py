@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from avfield import __version__
-from avfield.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, main
+from avfield import cli
+from avfield.cli import (
+    EXIT_CONFIG,
+    EXIT_INVARIANT,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_UNCONVERGED,
+    main,
+)
 from avfield.errors import FormatError
 from avfield.grid import GridSpec, WaveFunction, gaussian_state
+from avfield.solver import SweepRow
 from avfield.stateio import load_state, read_header, save_state
 
 
@@ -135,22 +144,43 @@ def test_unconverged_solve_and_sweep_report_on_stderr(tmp_path, capsys):
     out = tmp_path / "report.json"
     common = ["--beta", "0.5", "--R", "0.2", "--grid", "32", "--box", "8",
               "--tol-grad", "1e-8", "--max-iters", "2"]
-    assert run(["solve", *common, "--out", str(out)]) == EXIT_OK
+    assert run(["solve", *common, "--out", str(out)]) == EXIT_UNCONVERGED
     err = capsys.readouterr().err
     assert "not converged after 2 iterations" in err
     assert any("not converged" in w for w in json.loads(out.read_text())["warnings"])
 
     code = run(["sweep", "--axis", "beta", "--values", "0.5,0.6", *common[2:],
                 "--out", str(tmp_path / "sweep.csv")])
-    assert code == EXIT_OK
+    assert code == EXIT_UNCONVERGED
     lines = capsys.readouterr().err.splitlines()
     assert [line.split(" not converged")[0] for line in lines] == [
         "warning: beta=0.5", "warning: beta=0.6"
     ]
 
 
+def test_sweep_row_error_exit_code_outranks_unconverged(tmp_path, monkeypatch, capsys):
+    failed = SweepRow(axis_value=0.6, breakdown=None, converged=False,
+                      grad_norm=np.nan, iterations=0, error="non-finite energy")
+    unconverged = SweepRow(axis_value=0.5, breakdown=None, converged=False,
+                           grad_norm=1e-3, iterations=2)
+    monkeypatch.setattr(cli, "sweep", lambda *a: [unconverged, failed])
+    argv = ["sweep", "--axis", "beta", "--values", "0.5,0.6", "--grid", "32",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert run(argv) == EXIT_NUMERICAL
+    monkeypatch.setattr(cli, "sweep", lambda *a: [unconverged])
+    assert run(argv) == EXIT_UNCONVERGED
+    assert "beta=0.6 not converged: non-finite energy" in capsys.readouterr().err
+
+
 def test_sweep_empty_values(capsys):
     assert run(["sweep", "--axis", "beta", "--values", " "]) == EXIT_CONFIG
+
+
+def test_sweep_has_no_particle_number_axis(capsys):
+    # N does not enter the functional, so an N sweep would repeat one solve
+    with pytest.raises(SystemExit):
+        run(["sweep", "--axis", "N", "--values", "2,3"])
+    assert "invalid choice: 'N'" in capsys.readouterr().err
 
 
 def test_energy_command(tmp_path):
@@ -200,4 +230,6 @@ def test_verify_deterministic(tmp_path):
 
 
 def test_exit_code_constants():
-    assert (EXIT_OK, EXIT_CONFIG, EXIT_INVARIANT) == (0, 1, 3)
+    assert (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INVARIANT, EXIT_UNCONVERGED) == (
+        0, 1, 2, 3, 4
+    )

@@ -127,6 +127,8 @@ def test_sweep_axis_validation(spec, trap):
     with pytest.raises(ConfigurationError):
         sweep("gamma", [1.0], params, spec)
     with pytest.raises(ConfigurationError):
+        sweep("N", [2.0], params, spec)  # N does not enter the functional
+    with pytest.raises(ConfigurationError):
         sweep("beta", [], params, spec)
 
 
@@ -243,3 +245,71 @@ def test_accepted_trial_is_evaluated_once(spec, trap, monkeypatch):
     gradients = res.iterations + 1
     assert pad <= 3 * states + 3 * gradients
     assert n2 <= 3 * states + 3 * gradients + 4 * res.iterations
+
+
+@pytest.mark.parametrize(
+    "n, s, trap_first",
+    [(32, 4.0, True), (256, 2.0, False)],  # r = max V / max k^2 = 236, 0.026
+)
+def test_preconditioner_order_follows_the_stiffer_operator(n, s, trap_first, monkeypatch):
+    grid = GridSpec(n=n, half_width=8.0)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.h)
+    k[n // 2] = 0.0
+    max_k2 = 2.0 * np.max(k**2)
+    max_V = np.hypot(grid.half_width, grid.half_width) ** s  # the corner (-L, -L)
+    assert (max_V > max_k2) == trap_first
+
+    orders = []
+    real = solver._precondition
+
+    def recording(g, k2, V, sigma, first):
+        orders.append(first)
+        return real(g, k2, V, sigma, first)
+
+    monkeypatch.setattr(solver, "_precondition", recording)
+    cfg = SolverConfig(init="random", seed=1, max_iters=2)
+    minimize(FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=s)), grid, cfg)
+    assert orders == [trap_first, trap_first]
+
+
+def test_both_preconditioner_orders_are_symmetric_and_positive(spec, trap):
+    rng = np.random.default_rng(5)
+    a, b = (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)) for _ in range(2))
+    kx, ky = spec.wavenumbers()
+    k2 = kx**2 + ky**2
+    V = np.hypot(*spec.meshgrid()) ** 4
+    sigma = 2.0
+    sv = 1.0 / np.sqrt(V + sigma)
+    want = sv * np.fft.ifft2(np.fft.fft2(sv * a) / (k2 + sigma))
+    assert np.allclose(solver._precondition(a, k2, V, sigma, True), want, rtol=1e-13)
+    for first in (True, False):
+        Pa = solver._precondition(a, k2, V, sigma, first)
+        Pb = solver._precondition(b, k2, V, sigma, first)
+        assert inner(spec, b, Pa) == pytest.approx(inner(spec, Pb, a), rel=1e-12)
+        assert inner(spec, a, Pa).real > 0.0
+
+
+def test_stiff_quartic_trap_converges_quickly():
+    # max V / max k^2 = 236 here: the Laplacian-first order took 2335 iterations
+    grid = GridSpec(n=32, half_width=8.0)
+    res = minimize(FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=4.0)), grid,
+                   SolverConfig(tol_grad=1e-4))
+    assert res.converged
+    assert res.iterations <= 100
+    assert res.breakdown.total == pytest.approx(lowest_eigenvalue(grid, 1.0, 4.0), rel=1e-6)
+
+
+def test_line_search_calls_per_iteration_of_reference_solve(spec, trap, monkeypatch):
+    # restarting every search at twice the last step took 1.79 calls per iteration
+    real_energy = solver.energy
+    calls = []
+
+    def counting_energy(*args, **kwargs):
+        calls.append(1)
+        return real_energy(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "energy", counting_energy)
+    res = minimize(FunctionalParams(beta=1.0, R=0.1, trap=trap), spec,
+                   SolverConfig(tol_grad=1e-6))
+    assert res.converged and res.iterations > 0
+    assert len(calls) <= 1.3 * res.iterations
