@@ -3,12 +3,12 @@
 Reports are JSON (nested summaries) or CSV (flat sweep tables).  Every
 JSON report embeds the resolved configuration and the package version so
 a run can be reproduced from its artifacts alone.  Exit codes: 0 success,
-1 configuration error, 2 numerical failure, 3 invariant violation found
-by verify, 4 a solve or a sweep row stopped unconverged.  An unconverged
-solve or sweep row is also reported on stderr (and in a solve report's
-``warnings``), after its report, state and CSV are written.  A sweep row
-that raised a numerical failure makes the sweep exit 2, whether or not
-other rows are unconverged.
+1 configuration error (an argparse usage error too), 2 numerical failure,
+3 invariant violation found by verify, 4 a solve or a sweep row stopped
+unconverged.  An unconverged solve or sweep row is also reported on
+stderr (and in a solve report's ``warnings``), after its report, state
+and CSV are written.  A sweep row that raised a numerical failure makes
+the sweep exit 2, whether or not other rows are unconverged.
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ def cmd_solve(args) -> int:
             "config": _resolved_config(args),
             "breakdown": _breakdown_dict(res.breakdown),
             "iterations": res.iterations,
+            "level_iterations": res.level_iterations,
             "converged": res.converged,
             "grad_norm": res.grad_norm,
             "boundary_mass": res.boundary_mass,
@@ -352,7 +353,6 @@ def _suite_manybody(samples: int, seed: int) -> dict:
         a, b = mixed_term_crosscheck(u, R)
         cross_worst = max(cross_worst, abs(a - b) / max(abs(b), 1e-12))
         if N > 2 and beta != 0.0:
-            quad = bd.three_body / (beta**2 * (N - 2) / (N - 1))
             again = product_state_energy(
                 u, ManyBodyParams(N=2, beta=beta, R=R, trap=trap)
             )
@@ -455,6 +455,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a numerical failure
+        # here; --help and --version exit 0
+        return EXIT_CONFIG if exc.code else EXIT_OK
+    try:
         return args.func(args)
     except (ConfigurationError, DomainError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -96,6 +96,15 @@ def test_solve_command_oscillator(tmp_path, capsys):
     assert (tmp_path / "hist.csv").read_text().startswith("iteration,energy")
 
 
+def test_solve_report_lists_level_iterations(tmp_path):
+    out = tmp_path / "report.json"
+    # the gaussian start is the beta = 0 ground state on both levels
+    assert run(["solve", "--beta", "0", "--grid", "128", "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["level_iterations"] == [0, 0]
+    assert report["iterations"] == 0
+
+
 def test_solve_warm_restart_via_file(tmp_path):
     state = tmp_path / "u.state"
     common = ["--beta", "0.3", "--R", "0.1", "--grid", "64", "--box", "8",
@@ -178,8 +187,7 @@ def test_sweep_empty_values(capsys):
 
 def test_sweep_has_no_particle_number_axis(capsys):
     # N does not enter the functional, so an N sweep would repeat one solve
-    with pytest.raises(SystemExit):
-        run(["sweep", "--axis", "N", "--values", "2,3"])
+    assert run(["sweep", "--axis", "N", "--values", "2,3"]) == EXIT_CONFIG
     assert "invalid choice: 'N'" in capsys.readouterr().err
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from avfield.errors import ConfigurationError
+from avfield.errors import ConfigurationError, NumericalFailureError, SolverStalledError
 from avfield.functional import (
     FunctionalParams,
     StateFields,
@@ -9,7 +9,7 @@ from avfield.functional import (
     gradient,
     sphere_project,
 )
-from avfield.grid import GridSpec, gaussian_state, inner, l2_norm
+from avfield.grid import GridSpec, WaveFunction, gaussian_state, inner, l2_norm
 from avfield import solver
 from avfield.kernels import TrapPotential, kernels_for
 from avfield.solver import SolverConfig, initial_state, minimize, sweep
@@ -252,24 +252,32 @@ def test_accepted_trial_is_evaluated_once(spec, trap, monkeypatch):
     [(32, 4.0, True), (256, 2.0, False)],  # r = max V / max k^2 = 236, 0.026
 )
 def test_preconditioner_order_follows_the_stiffer_operator(n, s, trap_first, monkeypatch):
-    grid = GridSpec(n=n, half_width=8.0)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.h)
-    k[n // 2] = 0.0
-    max_k2 = 2.0 * np.max(k**2)
-    max_V = np.hypot(grid.half_width, grid.half_width) ** s  # the corner (-L, -L)
-    assert (max_V > max_k2) == trap_first
+    def trap_is_stiffer(m):
+        grid = GridSpec(n=m, half_width=8.0)
+        k = 2.0 * np.pi * np.fft.fftfreq(m, d=grid.h)
+        k[m // 2] = 0.0
+        max_k2 = 2.0 * np.max(k**2)
+        max_V = np.hypot(grid.half_width, grid.half_width) ** s  # the corner (-L, -L)
+        return max_V > max_k2
 
-    orders = []
+    assert trap_is_stiffer(n) == trap_first
+
+    pairs = []
     real = solver._precondition
 
     def recording(g, k2, V, sigma, first):
-        orders.append(first)
+        pairs.append((g.shape[0], first))
         return real(g, k2, V, sigma, first)
 
     monkeypatch.setattr(solver, "_precondition", recording)
     cfg = SolverConfig(init="random", seed=1, max_iters=2)
+    grid = GridSpec(n=n, half_width=8.0)
     minimize(FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=s)), grid, cfg)
-    assert orders == [trap_first, trap_first]
+    # the cold solve at n = 256 runs its coarse levels first, two iterations each
+    levels = {32: [32], 256: [64, 128, 256]}[n]
+    assert [m for m, _ in pairs] == [m for m in levels for _ in range(2)]
+    # each level orders its preconditioner by its own grid
+    assert all(first == trap_is_stiffer(m) for m, first in pairs)
 
 
 def test_both_preconditioner_orders_are_symmetric_and_positive(spec, trap):
@@ -313,3 +321,90 @@ def test_line_search_calls_per_iteration_of_reference_solve(spec, trap, monkeypa
                    SolverConfig(tol_grad=1e-6))
     assert res.converged and res.iterations > 0
     assert len(calls) <= 1.3 * res.iterations
+
+
+def trig_state(spec, modes):
+    """Samples of sum c exp(i pi (kx x + ky y) / L) over ``modes`` of (kx, ky, c)."""
+    x, y = spec.meshgrid()
+    w = np.pi / spec.half_width
+    vals = sum(c * np.exp(1j * w * (kx * x + ky * y)) for kx, ky, c in modes)
+    return WaveFunction(spec, vals).normalized()
+
+
+@pytest.mark.parametrize("m", [32, 64])
+def test_prolongation_is_exact_for_band_limited_states(m):
+    rng = np.random.default_rng(m)
+    # only modes with |k| < m / 2, which the coarse grid resolves, the
+    # highest of them included
+    modes = [(kx, ky, rng.normal() + 1j * rng.normal())
+             for kx in range(1 - m // 2, m // 2) for ky in range(1 - m // 2, m // 2)
+             if rng.random() < 0.1]
+    modes.append((m // 2 - 1, 1 - m // 2, 1.0))
+    coarse = trig_state(GridSpec(n=m, half_width=3.0), modes)
+    fine = GridSpec(n=2 * m, half_width=3.0)
+    got = solver._prolong(coarse, fine)
+    assert np.max(np.abs(got.values - trig_state(fine, modes).values)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.2, 0.4, 1.0, 3.0])
+def test_coarse_started_solve_matches_single_level_solve(beta, trap):
+    grid = GridSpec(n=128, half_width=8.0)
+    params = FunctionalParams(beta=beta, R=0.1, trap=trap)
+    cfg = SolverConfig(tol_grad=1e-6)
+    nested = minimize(params, grid, cfg)
+    single = minimize(params, grid, cfg, warm_start=gaussian_state(grid))
+    assert nested.converged and single.converged
+    assert len(nested.level_iterations) == 2
+    assert nested.level_iterations[-1] == nested.iterations
+    assert single.level_iterations == [single.iterations]
+    assert nested.breakdown.total == pytest.approx(single.breakdown.total, rel=1e-10)
+
+
+def test_reference_solve_spends_few_fine_iterations(trap):
+    # a single-level solve takes 17 iterations at n = 256
+    grid = GridSpec(n=256, half_width=8.0)
+    res = minimize(FunctionalParams(beta=1.0, R=0.1, trap=trap), grid,
+                   SolverConfig(tol_grad=1e-5))
+    assert res.converged
+    assert len(res.level_iterations) == 3
+    assert res.iterations == res.level_iterations[-1] <= 8
+    assert res.breakdown.total == pytest.approx(2.2664606841536585, rel=1e-10)
+
+
+def test_warm_and_from_file_solves_stay_single_level(trap):
+    grid = GridSpec(n=128, half_width=8.0)
+    params = FunctionalParams(beta=0.0, R=0.0, trap=trap)
+    res = minimize(params, grid, warm_start=gaussian_state(grid))
+    assert res.level_iterations == [0]
+    with pytest.raises(ConfigurationError):
+        minimize(params, grid, SolverConfig(init="from_file"))
+
+
+@pytest.mark.parametrize("error", [SolverStalledError, NumericalFailureError])
+def test_failed_coarse_level_is_not_fatal(error, trap, monkeypatch):
+    grid = GridSpec(n=256, half_width=8.0)
+    real = solver._minimize_level
+    starts = {}
+
+    def failing(params, spec, cfg, u, kernels):
+        starts[spec.n] = u
+        if spec.n == 128:
+            raise error("planted failure", last_state=u)
+        return real(params, spec, cfg, u, kernels)
+
+    monkeypatch.setattr(solver, "_minimize_level", failing)
+    # the quartic trap's random start cannot converge in 3 iterations
+    params = FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=4.0))
+    cfg = SolverConfig(init="random", seed=1, max_iters=3)
+    res = minimize(params, grid, cfg)
+    assert sorted(starts) == [64, 128, 256]
+    # n = 256 starts from its own initial state and reports only its own level
+    assert np.array_equal(starts[256].values, initial_state(grid, cfg).values)
+    assert res.level_iterations == [res.iterations]
+    failed = [w for w in res.warnings if "coarse level" in w]
+    assert len(failed) == 1 and "n=128" in failed[0] and "planted failure" in failed[0]
+    # the coarse levels' non-convergence is not copied, the returned grid's is
+    assert [w for w in res.warnings if "not converged" in w] == [
+        f"not converged after 3 iterations: projected gradient norm "
+        f"{res.grad_norm:.3e} (tol_grad 1e-07)"
+    ]
