@@ -12,6 +12,12 @@ edge-length regimes relative to R; each case has an exact closed form
 rho^2/(2R^4); two short: |x-z|^2 (R^2 + (y-z).(y-x)) over the product of
 regularized squares).  This module evaluates everything exactly from
 coordinates, in bulk, with targeted generators for every regime.
+
+Sums are evaluated from squared edge lengths: each edge vector is formed
+once, and since max(|v|, R)^2 = max(|v|^2, R^2) the R path takes no
+square root.  The naive sum cancels, so its round-off scales with
+(rho^2/area)^2 (see ``conditioning_ratio``).  The ``Triangle`` properties
+and the scalar checks are views over the batch functions.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import numpy as np
 from .errors import DomainError
 
 COLLINEAR_REL_TOL = 1e-14
+PROBE_CHUNK = 100_000  # triangles per probe draw; each chunk draws its own R
 
 
 @dataclass
@@ -39,44 +46,45 @@ class Triangle:
     z: np.ndarray
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=float)
-        self.y = np.asarray(self.y, dtype=float)
-        self.z = np.asarray(self.z, dtype=float)
+        self.x, self.y, self.z = (np.asarray(p, dtype=float) for p in (self.x, self.y, self.z))
 
     @property
     def edges(self) -> tuple[float, float, float]:
         """(|x-y|, |y-z|, |z-x|)."""
-        return (
-            float(np.hypot(*(self.x - self.y))),
-            float(np.hypot(*(self.y - self.z))),
-            float(np.hypot(*(self.z - self.x))),
-        )
+        return tuple(float(e) for e in batch_edges(self.as_array()[np.newaxis])[0])
 
     @property
     def rho(self) -> float:
-        a, b, c = self.edges
-        return float(np.sqrt(a * a + b * b + c * c))
-
-    @property
-    def signed_area(self) -> float:
-        u = self.y - self.x
-        v = self.z - self.x
-        return 0.5 * float(u[0] * v[1] - u[1] * v[0])
+        return float(np.sqrt(batch_rho_sq(self.as_array()[np.newaxis])[0]))
 
     @property
     def circumradius(self) -> float:
-        a, b, c = self.edges
-        area = abs(self.signed_area)
-        if area <= COLLINEAR_REL_TOL * max(a * b, b * c, c * a, 1e-300):
-            return np.inf
-        return a * b * c / (4.0 * area)
+        return float(batch_circumradius(self.as_array()[np.newaxis])[0])
 
     def as_array(self) -> np.ndarray:
         return np.stack([self.x, self.y, self.z], axis=0)
 
 
 # ---------------------------------------------------------------------------
-# vectorized core: triangles as arrays of shape (m, 3, 2)
+# vectorized core: triangles (m, 3, 2), vertices as (2, m) coordinate planes
+
+
+def _sub(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """p - q as contiguous planes; a plain ``-`` keeps the interleaved
+    layout of ``tri``, which makes every later plane operation strided."""
+    return np.subtract(p, q, order="C")
+
+
+def _dot(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Dot products of vectors stored as (2, m) coordinate planes."""
+    out = p[0] * q[0]
+    out += p[1] * q[1]
+    return out
+
+
+def _area(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|u x v| / 2 for vectors stored as (2, m) coordinate planes."""
+    return 0.5 * np.abs(u[0] * v[1] - u[1] * v[0])
 
 
 def batch_edges(tri: np.ndarray) -> np.ndarray:
@@ -93,14 +101,14 @@ def batch_edges(tri: np.ndarray) -> np.ndarray:
 
 
 def batch_rho_sq(tri: np.ndarray) -> np.ndarray:
-    e = batch_edges(tri)
-    return (e**2).sum(axis=1)
+    """rho^2 = |x-y|^2 + |y-z|^2 + |z-x|^2."""
+    x, y, z = np.moveaxis(tri, 0, -1)
+    return sum(_dot(d, d) for d in map(_sub, (x, y, z), (y, z, x)))
 
 
 def batch_area(tri: np.ndarray) -> np.ndarray:
-    u = tri[:, 1] - tri[:, 0]
-    v = tri[:, 2] - tri[:, 0]
-    return 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    x, y, z = np.moveaxis(tri, 0, -1)
+    return _area(_sub(y, x), _sub(z, x))
 
 
 def conditioning_ratio(tri: np.ndarray) -> np.ndarray:
@@ -115,17 +123,49 @@ def conditioning_ratio(tri: np.ndarray) -> np.ndarray:
 
 
 def batch_circumradius(tri: np.ndarray) -> np.ndarray:
-    e = batch_edges(tri)
-    x, y, z = tri[:, 0], tri[:, 1], tri[:, 2]
-    u = y - x
-    v = z - x
-    area = 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-    prod = e[:, 0] * e[:, 1] * e[:, 2]
-    scale = np.maximum(e.max(axis=1) ** 2, 1e-300)
-    out = np.full(len(tri), np.inf)
+    """|x-y| |y-z| |z-x| / (4 area); inf where the area is at most
+    COLLINEAR_REL_TOL times the longest squared edge."""
+    x, y, z = np.moveaxis(tri, 0, -1)
+    u, v = _sub(y, x), _sub(z, x)
+    area, uu, vv = _area(u, v), _dot(u, u), _dot(v, v)
+    w = np.subtract(z, y, out=u)
+    ww = _dot(w, w)
+    del u, v, w
+    scale = np.maximum(np.maximum(uu, vv), np.maximum(ww, 1e-300))
     ok = area > COLLINEAR_REL_TOL * scale
-    out[ok] = prod[ok] / (4.0 * area[ok])
-    return out
+    # two roots keep the product of three squared lengths in range
+    rr = np.sqrt(uu * vv) * np.sqrt(ww)
+    return np.divide(rr, 4.0 * area, out=np.full(len(tri), np.inf), where=ok)
+
+
+def _cyclic_sum_and_rho_sq(
+    tri: np.ndarray,
+    R: float,
+    profile: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic sum and rho^2, each edge vector formed once."""
+    if R < 0:
+        raise DomainError(f"need R >= 0, got {R}")
+    x, y, z = np.moveaxis(tri, 0, -1)
+    a, c = _sub(x, y), _sub(z, x)
+    # vertex numerators, negated: (x-y).(x-z) = -a.c, (y-z).(y-x) = -b.a,
+    # (z-x).(z-y) = -c.b; each edge's squared length once its dots are done
+    num_x, b = _dot(a, c), _sub(y, z)
+    num_y, la = _dot(b, a), _dot(a, a)
+    del a
+    num_z, lc, lb = _dot(c, b), _dot(c, c), _dot(b, b)
+    del b, c
+    rho_sq = la + lb + lc
+    if profile is not None:
+        la, lb, lc = (profile(np.sqrt(s)) ** 2 for s in (la, lb, lc))
+    elif R == 0.0 and not (la.all() and lb.all() and lc.all()):
+        raise DomainError("coincident points with R = 0")
+    else:
+        la, lb, lc = (np.maximum(s, R * R, out=s) for s in (la, lb, lc))
+    num_x /= la * lc
+    num_y /= lb * la
+    num_z /= lc * lb
+    return -(num_x + num_y + num_z), rho_sq
 
 
 def batch_cyclic_sum(
@@ -138,29 +178,11 @@ def batch_cyclic_sum(
     ``profile`` replaces the regularized length |.|_R in the denominators;
     it receives plain edge lengths and must return positive values.
     """
-    x, y, z = tri[:, 0], tri[:, 1], tri[:, 2]
-    total = np.zeros(len(tri))
-    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-        ab = a - b
-        ac = a - c
-        lab = np.hypot(ab[:, 0], ab[:, 1])
-        lac = np.hypot(ac[:, 0], ac[:, 1])
-        if profile is not None:
-            dab = profile(lab) ** 2
-            dac = profile(lac) ** 2
-        else:
-            dab = np.maximum(lab, R) ** 2
-            dac = np.maximum(lac, R) ** 2
-        if R == 0.0 and profile is None and (np.any(dab == 0.0) or np.any(dac == 0.0)):
-            raise DomainError("coincident points with R = 0")
-        total += (ab * ac).sum(axis=1) / (dab * dac)
-    return total
+    return _cyclic_sum_and_rho_sq(tri, R, profile)[0]
 
 
 def cyclic_sum(t: Triangle, R: float) -> float:
-    """Scalar wrapper around ``batch_cyclic_sum``."""
-    if R < 0:
-        raise DomainError(f"need R >= 0, got {R}")
+    """Scalar view of ``batch_cyclic_sum``."""
     return float(batch_cyclic_sum(t.as_array()[np.newaxis], R)[0])
 
 
@@ -177,18 +199,11 @@ def verify_sandwich(t: Triangle, R: float) -> SandwichReport:
     three-term identity times rho^2 over the product of regularized
     squared edges; its supremum over triangles is the measured constant.
     """
-    s = cyclic_sum(t, R)
-    a, b, c = t.edges
-    scale = sum(
-        abs(v)
-        for v in (
-            1.0 / (max(a, R) ** 2 if max(a, R) > 0 else 1.0),
-            1.0 / (max(b, R) ** 2 if max(b, R) > 0 else 1.0),
-            1.0 / (max(c, R) ** 2 if max(c, R) > 0 else 1.0),
-        )
-    )
-    lower_ok = s >= -1e-12 * max(scale, 1.0)
-    return SandwichReport(lower_ok=lower_ok, upper_ratio=s * t.rho**2)
+    tri = t.as_array()[np.newaxis]
+    s, rho_sq = _cyclic_sum_and_rho_sq(tri, R)
+    # no regularized edge is zero here: the sum raises first
+    scale = float((1.0 / np.maximum(batch_edges(tri), R) ** 2).sum())
+    return SandwichReport(bool(s[0] >= -1e-12 * max(scale, 1.0)), float(s[0] * rho_sq[0]))
 
 
 @dataclass
@@ -201,20 +216,13 @@ class CircumradiusReport:
 
 
 def circumradius_bounds(t: Triangle) -> CircumradiusReport:
-    rr = t.circumradius
-    rho = t.rho
+    rr, rho = t.circumradius, t.rho
     if rho == 0.0:
         raise DomainError("degenerate triangle: all points coincide")
     collinear = np.isinf(rr)
     hardy_ok = True if collinear else (1.0 / rr**2) <= 9.0 / rho**2 + 1e-12
     half_edge_ok = rr >= max(t.edges) / 2.0 - 1e-12 * rho
-    return CircumradiusReport(
-        circumradius=rr,
-        rho=rho,
-        hardy_ok=hardy_ok,
-        half_edge_ok=half_edge_ok,
-        collinear=collinear,
-    )
+    return CircumradiusReport(rr, rho, hardy_ok, half_edge_ok, collinear)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +307,6 @@ def counterexample_probe(
     radial_profile: Callable[[np.ndarray], np.ndarray] | None,
     samples: int,
     seed: int,
-    chunk: int = 100_000,
 ) -> ProbeReport:
     """Search random triangles for negative cyclic sums under a profile.
 
@@ -312,28 +319,21 @@ def counterexample_probe(
     violations = 0
     min_value = np.inf
     worst = None
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        tri = random_triangles(rng, m)
-        if radial_profile is None:
-            R = float(rng.uniform(0.0, 1.0))
-            vals = batch_cyclic_sum(tri, max(R, 1e-9))
-        else:
-            vals = batch_cyclic_sum(tri, 0.0, profile=radial_profile)
-        scale = batch_rho_sq(tri)
+    for done in range(0, samples, PROBE_CHUNK):
+        tri = random_triangles(rng, min(PROBE_CHUNK, samples - done))
+        R = max(float(rng.uniform(0.0, 1.0)), 1e-9) if radial_profile is None else 0.0
+        vals, scale = _cyclic_sum_and_rho_sq(tri, R, radial_profile)
         bad = vals < -1e-12 / np.maximum(scale, 1e-12)
         violations += int(bad.sum())
-        i = int(np.argmin(vals)) if m else 0
-        if m and vals[i] < min_value:
+        i = int(np.argmin(vals))
+        if vals[i] < min_value:
             min_value = float(vals[i])
             if bad[i]:
                 worst = tri[i].copy()
-        done += m
     return ProbeReport(
         samples=samples,
         violations=violations,
-        min_value=min_value if samples else np.inf,
+        min_value=min_value,
         worst_triangle=worst,
         seed=seed,
     )

@@ -1,11 +1,16 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from avfield import cli
 from avfield.errors import DomainError
 from avfield.geometry import (
     Triangle,
+    batch_area,
     batch_circumradius,
     batch_cyclic_sum,
     batch_edges,
@@ -196,3 +201,158 @@ def test_circumradius_at_least_half_longest_edge():
     rr = batch_circumradius(tri)
     emax = batch_edges(tri).max(axis=1)
     assert (rr >= emax / 2.0 - 1e-12).all()
+
+
+# ---------------------------------------------------------------------------
+# the squared-length core against independent formulas
+
+REGIMES = ("mixed", "all_long", "all_short", "two_short", "one_short")
+
+
+def convex_profile(r):
+    return np.exp(r**2 / 2.0)
+
+
+def hypot_cyclic_sum(tri, R, profile=None):
+    """The per-vertex formula with hypot edge lengths, and the sum of the
+    absolute values of its terms (the scale of its round-off)."""
+    regularized = profile or (lambda r: np.maximum(r, R))
+    x, y, z = tri[:, 0], tri[:, 1], tri[:, 2]
+    total = np.zeros(len(tri))
+    size = np.zeros(len(tri))
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        ab, ac = a - b, a - c
+        den = regularized(np.hypot(*ab.T)) ** 2 * regularized(np.hypot(*ac.T)) ** 2
+        term = (ab * ac).sum(axis=1) / den
+        total += term
+        size += np.abs(term)
+    return total, size
+
+
+@pytest.mark.parametrize("profile", [None, convex_profile], ids=["R", "profile"])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_cyclic_sum_matches_hypot_formula(regime, profile):
+    R = 0.3
+    tri = regime_triangles(np.random.default_rng(21), 20_000, R, regime)
+    want, size = hypot_cyclic_sum(tri, R, profile)
+    got = batch_cyclic_sum(tri, R, profile=profile)
+    assert np.all(np.abs(got - want) <= 1e-12 * size)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_rho_sq_and_circumradius_match_edge_formulas(regime):
+    tri = regime_triangles(np.random.default_rng(22), 20_000, 0.3, regime)
+    e = batch_edges(tri)
+    want = (e**2).sum(axis=1)
+    assert np.all(np.abs(batch_rho_sq(tri) - want) <= 1e-14 * want)
+    good = conditioning_ratio(tri) > 5e-3
+    assert good.sum() > 10_000
+    want = e.prod(axis=1)[good] / (4.0 * batch_area(tri)[good])
+    assert np.all(np.abs(batch_circumradius(tri)[good] - want) <= 1e-13 * want)
+
+
+def test_circumradius_infinite_on_collinear_triangles():
+    rng = np.random.default_rng(23)
+    # dyadic points and steps: every coordinate and difference is exact
+    p = np.round(64 * rng.uniform(-1.0, 1.0, size=(1000, 2))) / 64
+    k = np.round(4 * rng.uniform(-2.0, 2.0, size=(1000, 3)))
+    tri = p[:, None, :] + k[:, :, None] * np.array([0.25, -0.5])
+    assert (batch_area(tri) == 0.0).all()
+    assert np.isinf(batch_circumradius(tri)).all()
+
+
+def test_collinearity_uses_longest_squared_edge():
+    # area 3e-14 lies between 1e-14 * max(ab, bc, ca) = 2e-14, the rule the
+    # scalar circumradius used before it became a view, and
+    # 1e-14 * max(edge)^2 = 4e-14, the batch rule both now share
+    t = Triangle([0.0, 0.0], [1.0, 0.0], [2.0, 6e-14])
+    assert np.isinf(t.circumradius)
+    assert circumradius_bounds(t).collinear
+
+
+def test_triangle_properties_are_batch_views():
+    tri = random_triangles(np.random.default_rng(24), 50)
+    for row, e, rho_sq, rr in zip(
+        tri, batch_edges(tri), batch_rho_sq(tri), batch_circumradius(tri)
+    ):
+        t = Triangle(*row)
+        assert t.edges == tuple(e)
+        assert t.rho == np.sqrt(rho_sq)
+        assert t.circumradius == rr
+        assert cyclic_sum(t, 0.2) == batch_cyclic_sum(row[np.newaxis], 0.2)[0]
+
+
+def test_batch_domain_errors():
+    tri = np.array([[[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
+    with pytest.raises(DomainError):
+        batch_cyclic_sum(tri, 0.0)
+    with pytest.raises(DomainError):
+        batch_cyclic_sum(random_triangles(np.random.default_rng(0), 4), -0.1)
+    assert np.isfinite(batch_cyclic_sum(tri, 0.1)).all()
+
+
+# ---------------------------------------------------------------------------
+# pinned samples: a later edit must not silently change what the suites draw
+
+TRIANGLE_SHA256 = {
+    "all_long": "abbc43fecdcad350532679ca185cfcb4a48bc7147204976ac0ffdc80874c577c",
+    "all_short": "312fe3e0c25f438670808a868bf2b509f1a78e4dbe6210ad0108561573212b73",
+    "two_short": "929ec7411fb64d96ec5d6e39c1d17411597eb1cefeb16e25496d463cfa5a55db",
+    "one_short": "4f29920cd8a5b5043511bc34ab816d85e86b3239ea2d71007a460af1ab38a043",
+    "mixed": "554fe48cc9ac0bf5e6e8405a65e25f0365306e37cdfe979fa95cd8ab6e21848d",
+}
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_triangles_pinned(regime):
+    tri = regime_triangles(np.random.default_rng(0), 2000, 0.3, regime)
+    assert tri.shape == (2000, 3, 2)
+    assert sha256(tri) == TRIANGLE_SHA256[regime]
+
+
+def test_random_triangles_pinned():
+    tri = random_triangles(np.random.default_rng(0), 2000)
+    assert sha256(tri) == TRIANGLE_SHA256["mixed"]
+
+
+# `avfield verify geometry --samples 100000 --seed 42` as recorded from the
+# hypot-based evaluation: counts and R exact, ratios to 1e-12 relative,
+# minima (near-zero cancellations) to 1e-14 absolute
+VERIFY_REFERENCE = {
+    "regularized_nonnegative": (0, 3.864963904476326e-11),
+    "convex_profile_violates": (59124, -0.10910473304628866),
+    "measured_constant": 4.499975518726756,
+    "regimes": {
+        "all_long": (0.1612827548369358, 4.499975518726756, 9.711759174635404e-11),
+        "all_short": (0.3969083977767591, 3.587052513163238, 0.4337763697359206),
+        "two_short": (0.38383874695490305, 4.383393193902464, 0.198386555698427),
+        "one_short": (0.5338300617608112, 4.449403266402327, 0.00036635783940255906),
+        "mixed": (0.3561748113789075, 4.4998731774357426, 4.356426330787144e-11),
+    },
+}
+
+
+def test_verify_geometry_report_pinned(tmp_path):
+    out = tmp_path / "geometry.json"
+    assert cli.main(
+        ["verify", "geometry", "--samples", "100000", "--seed", "42", "--out", str(out)]
+    ) == cli.EXIT_OK
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("regularized_nonnegative", "convex_profile_violates"):
+        violations, min_value = VERIFY_REFERENCE[name]
+        assert checks[name]["violations"] == violations
+        assert checks[name]["min_value"] == pytest.approx(min_value, rel=0, abs=1e-14)
+    sandwich = checks["regime_sandwich"]
+    assert sandwich["measured_constant"] == pytest.approx(
+        VERIFY_REFERENCE["measured_constant"], rel=1e-12, abs=0
+    )
+    assert set(sandwich["regimes"]) == set(VERIFY_REFERENCE["regimes"])
+    for regime, (R, ratio, min_sum) in VERIFY_REFERENCE["regimes"].items():
+        got = sandwich["regimes"][regime]
+        assert got["R"] == R
+        assert got["max_upper_ratio"] == pytest.approx(ratio, rel=1e-12, abs=0)
+        assert got["min_cyclic_sum"] == pytest.approx(min_sum, rel=0, abs=1e-14)
