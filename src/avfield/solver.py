@@ -28,10 +28,10 @@ direction.  Each line search starts from a model of the last one
 tau is accepted with energies E0 -> E1 and slope s < 0, the quadratic
 through E0, s and E1 has curvature c = E1 - E0 - s tau, and the next
 search starts at its minimizer -s tau^2 / (2c), clamped to
-[tau / 2, 4 tau] and to 1e3; when c <= 0 it starts at tau / backtrack_shrink.
-A trial that fails the Armijo test is shrunk by ``backtrack_shrink``:
-backtracking by the same quadratic model took the quartic solve at
-n = 128 from 99 iterations to 337.
+[tau / 2, 4 tau] and to 1e3; when c <= 0 it starts at 2 tau.  A trial
+that fails the Armijo test is halved: backtracking by the same
+quadratic model took the quartic solve at n = 128 from 99 iterations
+to 337.
 
 The gradient of an accepted step is evaluated from the ``StateFields``
 its line-search energy built, and a trial's |v|^2 both normalizes it and
@@ -73,6 +73,10 @@ from .kernels import KernelSet, kernels_for, sample_kernels, trap_values
 
 BOUNDARY_MASS_WARN = 1e-8
 MAX_BACKTRACKS = 60
+STEP0 = 0.1  # the first line search's trial step
+BACKTRACK_SHRINK = 0.5
+ARMIJO_C = 1e-4
+PERTURBATION = 0.1  # amplitude of the ``random`` init's plane waves
 # a cold solve with n >= 2 COARSEST_N starts on coarser grids, down to this one
 COARSEST_N = 64
 
@@ -82,19 +86,12 @@ class SolverConfig:
     max_iters: int = 5000
     tol_energy: float = 1e-10
     tol_grad: float = 1e-7
-    step0: float = 0.1
-    backtrack_shrink: float = 0.5
-    armijo_c: float = 1e-4
     init: str = "gaussian"  # gaussian | gaussian_vortex | from_file | random
     seed: int | None = None
-    perturbation: float = 0.1
-    precondition: bool = True
 
     def __post_init__(self):
         if self.tol_energy <= 0 or self.tol_grad <= 0:
             raise ConfigurationError("tolerances must be positive")
-        if not 0.0 < self.backtrack_shrink < 1.0:
-            raise ConfigurationError("backtrack shrink must lie in (0, 1)")
         if self.init not in ("gaussian", "gaussian_vortex", "from_file", "random"):
             raise ConfigurationError(f"unknown init {self.init!r}")
 
@@ -134,7 +131,7 @@ def initial_state(
     for _ in range(6):
         kx, ky = rng.normal(scale=1.5, size=2)
         pert += (rng.normal() + 1j * rng.normal()) * np.exp(1j * (kx * x + ky * y))
-    vals = base.values + cfg.perturbation * pert * env
+    vals = base.values + PERTURBATION * pert * env
     return WaveFunction(spec, vals).normalized()
 
 
@@ -288,18 +285,17 @@ def _minimize_level(
             f"initial boundary density {u.boundary_mass():.3e} exceeds "
             f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
         )
-    if cfg.precondition:
-        kx, ky = spec.wavenumbers()
-        k2 = kx**2 + ky**2
-        V = trap_values(spec, params.trap)
-        # chosen once per solve: the stiffer operator's factor goes outside
-        trap_first = float(V.max()) > float(k2.max())
+    kx, ky = spec.wavenumbers()
+    k2 = kx**2 + ky**2
+    V = trap_values(spec, params.trap)
+    # chosen once per solve: the stiffer operator's factor goes outside
+    trap_first = float(V.max()) > float(k2.max())
 
     bd, G = energy_and_gradient(u, params, kernels)
     if not np.isfinite(bd.total):
         raise NumericalFailureError("non-finite initial energy", last_state=u)
     history = [bd.total]
-    tau = cfg.step0
+    tau = STEP0
     converged = False
     grad_norm = np.inf
     iterations = 0
@@ -325,11 +321,8 @@ def _minimize_level(
             converged = grad_norm < cfg.tol_grad
             break
 
-        if cfg.precondition:
-            sigma = max(1.0, abs(bd.total))
-            d = sphere_project(spec, _precondition(pg, k2, V, sigma, trap_first), u)
-        else:
-            d = pg
+        sigma = max(1.0, abs(bd.total))
+        d = sphere_project(spec, _precondition(pg, k2, V, sigma, trap_first), u)
         gd = inner(spec, pg, d).real
         p, slope = _cg_direction(spec, u, G, pg, d, prev)
         prev = None  # release g_prev and p_prev before the line search
@@ -343,7 +336,7 @@ def _minimize_level(
             rho = trial_vals.real**2 + trial_vals.imag**2
             mass = float(rho.sum()) * spec.h**2
             if mass == 0.0 or not np.isfinite(mass):
-                tau *= cfg.backtrack_shrink
+                tau *= BACKTRACK_SHRINK
                 continue
             trial_vals /= np.sqrt(mass)
             rho /= mass
@@ -357,11 +350,11 @@ def _minimize_level(
                 raise NumericalFailureError(
                     "non-finite energy during line search", last_state=u
                 )
-            if trial_bd.total <= bd.total + cfg.armijo_c * tau * slope:
+            if trial_bd.total <= bd.total + ARMIJO_C * tau * slope:
                 accepted = True
                 break
             del trial_fields
-            tau *= cfg.backtrack_shrink
+            tau *= BACKTRACK_SHRINK
         if not accepted:
             # at numerical stationarity the line search cannot decrease further
             if grad_norm < 10.0 * cfg.tol_grad or rel_drop < cfg.tol_energy:
@@ -387,7 +380,7 @@ def _minimize_level(
             # the next search starts at that quadratic's minimizer
             tau = min(max(-slope * tau * tau / (2.0 * curv), 0.5 * tau), 4.0 * tau)
         else:
-            tau /= cfg.backtrack_shrink
+            tau /= BACKTRACK_SHRINK
         tau = min(tau, 1e3)
         prev = (pg, p, gd)
         del pg, p
@@ -427,7 +420,7 @@ class SweepRow:
     grad_norm: float
     iterations: int
     error: str | None = None
-    result: SolveResult | None = None
+    u: WaveFunction | None = None  # the row's minimizer
 
 
 def _apply_axis(params: FunctionalParams, axis: str, value: float) -> FunctionalParams:
@@ -478,7 +471,7 @@ def sweep(
                     converged=res.converged,
                     grad_norm=res.grad_norm,
                     iterations=res.iterations,
-                    result=res,
+                    u=res.u,
                 )
             )
         except (NumericalFailureError, SolverStalledError) as exc:

@@ -8,6 +8,7 @@ module-scoped fixtures.
 import numpy as np
 import pytest
 
+from avfield import verify
 from avfield.fields import current, density, vector_potential
 from avfield.functional import FunctionalParams, energy, gradient
 from avfield.geometry import (
@@ -16,21 +17,14 @@ from avfield.geometry import (
     batch_edges,
     batch_rho_sq,
     conditioning_ratio,
-    counterexample_probe,
     random_triangles,
     regime_triangles,
 )
-from avfield.grid import (
-    GridSpec,
-    WaveFunction,
-    inner,
-    integrate,
-    spectral_gradient,
-    spectral_laplacian,
-)
+from avfield.grid import GridSpec, WaveFunction, inner, integrate, spectral_laplacian
 from avfield.kernels import SmearedCoulomb, TrapPotential, kernels_for, lp_norm_grad_w
-from avfield.manybody import ManyBodyParams, mixed_term_crosscheck, product_state_energy
+from avfield.manybody import ManyBodyParams, product_state_energy
 from avfield.solver import SolverConfig, minimize, sweep
+from avfield.verify import abs_kinetic, smooth_state
 
 TRAP = TrapPotential()
 
@@ -38,21 +32,6 @@ TRAP = TrapPotential()
 def report(name, ok, detail):
     print(f"[{name}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def smooth_state(spec, rng, phase_scale=0.5):
-    x, y = spec.meshgrid()
-    env = np.exp(-(x**2 + y**2) / 2.0)
-    field = np.zeros((spec.n, spec.n), dtype=complex)
-    for _ in range(4):
-        kx, ky = rng.normal(scale=1.2, size=2)
-        field += (rng.normal() + 1j * rng.normal()) * np.exp(1j * (kx * x + ky * y))
-    return WaveFunction(spec, env * (1.0 + phase_scale * field)).normalized()
-
-
-def abs_kinetic(spec, u):
-    gx, gy = spectral_gradient(spec, np.sqrt(density(u)))
-    return float(integrate(spec, np.abs(gx) ** 2 + np.abs(gy) ** 2))
 
 
 @pytest.fixture(scope="module")
@@ -116,39 +95,32 @@ def state_bank():
 
 
 def test_criterion_03_diamagnetic_suite(state_bank):
-    spec, states = state_bank
-    worst = np.inf
-    cases = 0
-    for i, u in enumerate(states):
-        kin_abs = abs_kinetic(spec, u)
-        R = 0.0 if i % 2 == 0 else 0.1
-        for beta in (0.5, -0.5, 2.0, -2.0):
-            bd = energy(u, FunctionalParams(beta=beta, R=R, trap=TRAP))
-            worst = min(worst, bd.magnetic_kinetic - kin_abs)
-            cases += 1
+    _, states = state_bank
+    cases = [
+        (u, FunctionalParams(beta=beta, R=0.0 if i % 2 == 0 else 0.1, trap=TRAP))
+        for i, u in enumerate(states)
+        for beta in (0.5, -0.5, 2.0, -2.0)
+    ]
+    check = verify.diamagnetic(verify.evaluated(cases))
     report(
         "criterion 3: diamagnetic suite",
-        worst > -1e-8,
-        f"worst margin over {cases} cases = {worst:.3e}",
+        check["ok"],
+        f"worst margin over {len(cases)} cases = {check['worst_margin']:.3e}",
     )
 
 
 def test_criterion_04_density_lower_bound(state_bank):
-    spec, states = state_bank
-    worst = np.inf
-    for u in states:
-        quart = float(integrate(spec, density(u) ** 2))
-        for beta in (0.5, -0.5, 2.0, -2.0):
-            bd = energy(u, FunctionalParams(beta=beta, R=0.0, trap=TRAP))
-            scale = max(1.0, bd.magnetic_kinetic)
-            worst = min(
-                worst,
-                (bd.magnetic_kinetic - 2.0 * np.pi * abs(beta) * quart) / scale,
-            )
+    _, states = state_bank
+    cases = [
+        (u, FunctionalParams(beta=beta, R=0.0, trap=TRAP))
+        for u in states
+        for beta in (0.5, -0.5, 2.0, -2.0)
+    ]
+    check = verify.density_lower_bound(verify.evaluated(cases))
     report(
         "criterion 4: density lower bound",
-        worst > -1e-6,
-        f"worst scaled margin = {worst:.3e}",
+        check["ok"],
+        f"worst margin = {check['worst_margin']:.3e}",
     )
 
 
@@ -229,7 +201,7 @@ def test_criterion_06_r_to_zero_rate():
     diffs = np.array([E[R / 2.0] - E[R] for R in values[:-1]])
     order = float(np.polyfit(np.log(values[:-1]), np.log(np.abs(diffs)), 1)[0])
 
-    u = rows[-1].result.u
+    u = rows[-1].u
     rho = density(u)
     k0 = kernels_for(spec, 0.0)
     A = vector_potential(spec, rho, k0)
@@ -310,9 +282,9 @@ def test_criterion_08_geometry_suite():
     rr = batch_circumradius(tri)
     hardy = bool((1.0 / rr**2 <= 9.0 / batch_rho_sq(tri) + 1e-12).all())
     ok &= hardy
-    probe = counterexample_probe(lambda r: np.exp(r**2 / 2.0), m, seed=77)
-    ok &= probe.violations > 0
-    details.append(f"hardy={hardy}, convex-profile violations={probe.violations}")
+    probe = verify.convex_profile_probe(m, seed=77)
+    ok &= probe["ok"]
+    details.append(f"hardy={hardy}, convex-profile violations={probe['violations']}")
     report("criterion 8: geometry suite", ok, "; ".join(details))
 
 
@@ -326,7 +298,7 @@ def test_criterion_09_magnetic_term_bound():
         rho = density(u)
         A = vector_potential(spec, rho, kernels)
         lhs = float(integrate(spec, rho * (A[0] ** 2 + A[1] ** 2)))
-        rhs = 1.5 * abs_kinetic(spec, u)
+        rhs = 1.5 * abs_kinetic(u)
         worst = max(worst, lhs / rhs)
     bound_ok = worst <= 1.0
 
@@ -372,44 +344,42 @@ def test_criterion_10_product_state_chain(beta1_smeared_solution, spec256):
     slope = float(np.polyfit(np.log(Ns), np.log(gaps), 1)[0])
     rng = np.random.default_rng(60)
     spec64 = GridSpec(n=64, half_width=8.0)
-    worst = 0.0
+    cases = []
     for _ in range(20):
         v = smooth_state(spec64, rng)
-        a, b = mixed_term_crosscheck(v, float(rng.uniform(0.1, 0.4)))
-        worst = max(worst, abs(a - b) / max(abs(b), 1e-12))
-    ok = positive and abs(slope + 1.0) <= 0.1 and worst < 1e-8
+        cases.append((v, float(rng.uniform(0.1, 0.4))))
+    cross = verify.mixed_crosscheck(cases)
+    ok = positive and abs(slope + 1.0) <= 0.1 and cross["ok"]
     report(
         "criterion 10: product-state chain",
         ok,
         f"gaps positive: {positive}, fitted exponent = {slope:.3f}, "
-        f"crosscheck worst rel = {worst:.2e}",
+        f"crosscheck worst rel = {cross['worst_rel']:.2e}",
     )
 
 
 def test_criterion_11_kernel_suite():
     rng = np.random.default_rng(70)
-    worst_val = 0.0
+    points = []
     worst_cont = 0.0
     for _ in range(1000):
         R = float(rng.uniform(0.05, 2.0))
-        k = SmearedCoulomb(R)
-        r_out = float(rng.uniform(R, 4.0))
-        worst_val = max(worst_val, abs(float(k.w_radial(np.array(r_out))) - np.log(r_out)))
-        r_in = float(rng.uniform(0.0, R))
-        want = np.log(R) + 0.5 * ((r_in / R) ** 2 - 1.0)
-        worst_val = max(worst_val, abs(float(k.w_radial(np.array(r_in))) - want))
-        # both branch formulas evaluated at the seam r = R must coincide
-        inside_at_R = np.log(R) + 0.5 * ((R / R) ** 2 - 1.0)
-        worst_cont = max(worst_cont, abs(inside_at_R - np.log(R)))
+        points.append((R, float(rng.uniform(R, 4.0))))
+        points.append((R, float(rng.uniform(0.0, R))))
+        # the kernel just inside, at and just outside the seam r = R
+        seam = np.array([np.nextafter(R, 0.0), R, np.nextafter(R, np.inf)])
+        worst_cont = max(worst_cont, float(np.ptp(SmearedCoulomb(R).w_radial(seam))))
+    piecewise = verify.piecewise_kernel(points)
     scaling_worst = 0.0
     for p in (3.0, 4.0, 8.0):
         consts = [lp_norm_grad_w(R, p) * R ** (1.0 - 2.0 / p) for R in
                   (0.05, 0.1, 0.5, 1.0, 2.0, 5.0)]
         scaling_worst = max(scaling_worst, np.ptp(consts) / consts[0])
-    ok = worst_val < 1e-14 and worst_cont < 1e-14 and scaling_worst < 1e-8
+    ok = piecewise["ok"] and worst_cont < 1e-14 and scaling_worst < 1e-8
     report(
         "criterion 11: kernel suite",
         ok,
-        f"branch value err = {worst_val:.2e}, continuity jump = {worst_cont:.2e}, "
+        f"branch value err = {piecewise['max_abs_err']:.2e}, "
+        f"continuity jump = {worst_cont:.2e}, "
         f"L^p scaling spread = {scaling_worst:.2e}",
     )

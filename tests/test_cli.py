@@ -241,3 +241,63 @@ def test_exit_code_constants():
     assert (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INVARIANT, EXIT_UNCONVERGED) == (
         0, 1, 2, 3, 4
     )
+
+
+# suite -> (--samples, report entries besides the checks, {check: measured values})
+# at seed 42; a changed draw order or check formula moves the values
+VERIFY_REFERENCE = {
+    "kernels": ("300", {}, {
+        "piecewise_w": {"max_abs_err": 0.0},
+        "lp_scaling": {"max_rel_err": 3.0148596088423166e-16},
+        "grad_sup_bound": {"max_R_sup": 0.9999386375353921},
+    }),
+    "functional-inequalities": ("6", {"states": 6}, {
+        "diamagnetic": {"worst_margin": 0.09422328089091758},
+        "density_lower_bound": {"worst_margin": 0.2760604281290546},
+    }),
+    "manybody-identities": ("4", {"states": 4}, {
+        "mixed_crosscheck": {"worst_rel": 5.682762300016326e-14},
+        "gap_nonnegative": {"worst_scaled_gap": 0.09230184480382997},
+    }),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_REFERENCE))
+def test_verify_report_pinned(tmp_path, suite):
+    samples, entries, checks = VERIFY_REFERENCE[suite]
+    out = tmp_path / "report.json"
+    assert run(["verify", suite, "--samples", samples, "--seed", "42",
+                "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["suite"] == suite
+    for key, value in entries.items():
+        assert report[key] == value
+    assert [c["name"] for c in report["checks"]] == list(checks)
+    for got in report["checks"]:
+        want = checks[got["name"]]
+        assert set(got) == {"name", "ok", *want}
+        assert got["ok"] is True
+        for key, value in want.items():
+            assert got[key] == pytest.approx(value, rel=1e-12, abs=0)
+
+
+def test_verify_geometry_calls_through_the_geometry_module(tmp_path, monkeypatch):
+    from avfield import geometry
+
+    calls = []
+
+    def wrap(name):
+        real = getattr(geometry, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, name, wrapper)
+
+    wrap("counterexample_probe")
+    wrap("regime_triangles")
+    out = tmp_path / "geometry.json"
+    assert run(["verify", "geometry", "--samples", "500", "--out", str(out)]) == EXIT_OK
+    # the regularized and the convex-profile probe, then one batch per regime
+    assert calls == ["counterexample_probe"] * 2 + ["regime_triangles"] * 5

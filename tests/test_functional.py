@@ -24,6 +24,7 @@ from avfield.grid import (
     spectral_laplacian,
 )
 from avfield.kernels import TrapPotential, kernels_for
+from avfield.verify import abs_kinetic, smooth_state
 
 from fft_counter import FFTCounter
 
@@ -36,16 +37,6 @@ def spec():
 @pytest.fixture
 def trap():
     return TrapPotential()
-
-
-def random_state(spec, rng, phase_scale=0.5):
-    x, y = spec.meshgrid()
-    env = np.exp(-(x**2 + y**2) / 2.0)
-    field = np.zeros((spec.n, spec.n), dtype=complex)
-    for _ in range(4):
-        kx, ky = rng.normal(scale=1.2, size=2)
-        field += (rng.normal() + 1j * rng.normal()) * np.exp(1j * (kx * x + ky * y))
-    return WaveFunction(spec, env * (1.0 + phase_scale * field)).normalized()
 
 
 def test_oscillator_ground_state(spec, trap):
@@ -67,14 +58,14 @@ def test_energy_even_in_beta_for_real_states(spec, trap):
 
 
 def test_breakdown_total_is_sum(spec, trap):
-    u = random_state(spec, np.random.default_rng(0))
+    u = smooth_state(spec, np.random.default_rng(0))
     bd = energy(u, FunctionalParams(beta=0.7, R=0.2, trap=trap))
     assert bd.total == pytest.approx(bd.kinetic + bd.mixed + bd.quartic + bd.potential)
     assert bd.magnetic_kinetic == pytest.approx(bd.kinetic + bd.mixed + bd.quartic)
 
 
 def test_global_phase_invariance(spec, trap):
-    u = random_state(spec, np.random.default_rng(1))
+    u = smooth_state(spec, np.random.default_rng(1))
     params = FunctionalParams(beta=1.0, R=0.1, trap=trap)
     rotated = WaveFunction(spec, u.values * np.exp(1j * 0.73))
     assert energy(rotated, params).total == pytest.approx(
@@ -102,10 +93,10 @@ def test_alt_energy_flags_nodes(spec, trap):
 
 def test_gradient_finite_difference_contract(spec, trap):
     rng = np.random.default_rng(7)
-    u = random_state(spec, rng)
+    u = smooth_state(spec, rng)
     params = FunctionalParams(beta=0.9, R=0.15, trap=trap)
     G = gradient(u, params)
-    v = random_state(spec, rng).values
+    v = smooth_state(spec, rng).values
     eps = 1e-5
 
     def e_at(t):
@@ -117,7 +108,7 @@ def test_gradient_finite_difference_contract(spec, trap):
 
 
 def test_fused_energy_matches_plain(spec, trap):
-    u = random_state(spec, np.random.default_rng(8))
+    u = smooth_state(spec, np.random.default_rng(8))
     params = FunctionalParams(beta=1.2, R=0.3, trap=trap)
     bd, G = energy_and_gradient(u, params)
     assert bd.total == pytest.approx(energy(u, params).total, abs=1e-13)
@@ -161,7 +152,7 @@ def plain_energy_and_gradient(u, params):
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 @pytest.mark.parametrize("R", [0.0, 0.2])
 def test_evaluation_core_matches_plain_formulas(spec, trap, beta, R):
-    u = random_state(spec, np.random.default_rng(11))
+    u = smooth_state(spec, np.random.default_rng(11))
     params = FunctionalParams(beta=beta, R=R, trap=trap)
     terms, G_ref = plain_energy_and_gradient(u, params)
     total = sum(terms)
@@ -175,7 +166,7 @@ def test_evaluation_core_matches_plain_formulas(spec, trap, beta, R):
 
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 def test_fft_budget_per_evaluation(spec, trap, monkeypatch, beta):
-    u = random_state(spec, np.random.default_rng(12))
+    u = smooth_state(spec, np.random.default_rng(12))
     params = FunctionalParams(beta=beta, R=0.2, trap=trap)
     kernels_for(spec, params.R)  # kernel FFTs are built once per grid, outside the count
     counter = FFTCounter(monkeypatch, spec.n)
@@ -193,7 +184,7 @@ def test_fft_budget_per_evaluation(spec, trap, monkeypatch, beta):
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 @pytest.mark.parametrize("R", [0.0, 0.2])
 def test_gradient_from_evaluated_fields_matches_fresh_state(spec, trap, monkeypatch, beta, R):
-    u = random_state(spec, np.random.default_rng(13))
+    u = smooth_state(spec, np.random.default_rng(13))
     params = FunctionalParams(beta=beta, R=R, trap=trap)
     kernels = kernels_for(spec, R)
     bd_ref, G_ref = energy_and_gradient(u, params)
@@ -212,7 +203,7 @@ def test_gradient_from_evaluated_fields_matches_fresh_state(spec, trap, monkeypa
 
 
 def test_sphere_projection_is_tangent(spec, trap):
-    u = random_state(spec, np.random.default_rng(9))
+    u = smooth_state(spec, np.random.default_rng(9))
     g = gradient(u, FunctionalParams(beta=0.5, R=0.1, trap=trap))
     pg = sphere_project(spec, g, u)
     assert abs(inner(spec, u.values, pg).real) < 1e-12 * np.abs(g).max()
@@ -221,13 +212,10 @@ def test_sphere_projection_is_tangent(spec, trap):
 def test_diamagnetic_inequality_sample(spec, trap):
     rng = np.random.default_rng(10)
     for _ in range(10):
-        u = random_state(spec, rng)
+        u = smooth_state(spec, rng)
         beta = float(rng.uniform(-2, 2))
         bd = energy(u, FunctionalParams(beta=beta, R=0.0, trap=trap))
-        absu = np.sqrt(density(u))
-        gx, gy = spectral_gradient(spec, absu)
-        kin_abs = float(integrate(spec, np.abs(gx) ** 2 + np.abs(gy) ** 2))
-        assert bd.magnetic_kinetic >= kin_abs - 1e-8
+        assert bd.magnetic_kinetic >= abs_kinetic(u) - 1e-8
 
 
 def test_magnetic_field_disc_flux(spec, trap):

@@ -31,8 +31,6 @@ def test_config_validation():
     with pytest.raises(ConfigurationError):
         SolverConfig(tol_energy=0.0)
     with pytest.raises(ConfigurationError):
-        SolverConfig(backtrack_shrink=1.0)
-    with pytest.raises(ConfigurationError):
         SolverConfig(init="bogus")
 
 
@@ -73,13 +71,6 @@ def test_interacting_solve_and_warm_restart(spec, trap):
     again = minimize(params, spec, cfg, warm_start=res.u)
     assert again.iterations <= 5
     assert again.breakdown.total == pytest.approx(res.breakdown.total, abs=1e-8)
-
-
-def test_no_preconditioner_still_descends(spec, trap):
-    cfg = SolverConfig(precondition=False, max_iters=300, tol_grad=1e-4)
-    res = minimize(FunctionalParams(beta=0.3, R=0.1, trap=trap), spec, cfg)
-    hist = np.array(res.energy_history)
-    assert (np.diff(hist) <= 1e-14).all()
 
 
 def test_boundary_warning_for_small_box(trap):
