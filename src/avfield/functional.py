@@ -13,13 +13,18 @@ its sign and normalization are pinned by the finite-difference contract
 exercised in the tests rather than trusted.
 
 Every evaluation (``energy``, ``energy_and_gradient``, ``gradient``,
-``energy_alt``, ``magnetic_field`` and the product-state energy in
-``manybody``) reads the density, spectral derivatives, phase current and
-vector potential of a state from one ``StateFields``, which computes each
-of them at most once.  ``energy``, ``energy_and_gradient`` and
-``gradient`` also accept a ``StateFields`` in place of the state: what it
-has already computed is reused, so a state whose energy was evaluated
-pays for its gradient only the transforms the gradient adds.
+``energy_alt``, ``magnetic_field`` and the product-state terms and
+cross-check in ``manybody``) reads the density, spectral derivatives,
+phase current and vector potential of a state from one ``StateFields``,
+which computes each of them at most once.  ``state_fields`` keeps it on
+the (immutable) state, keyed by the identity of its ``KernelSet``, so
+later calls on the state reuse it: after ``energy`` the gradient adds
+only its own transforms and the product-state energy one padded inverse.
+Other kernels replace it, and it is freed with the state.  ``energy``,
+``energy_and_gradient`` and ``gradient`` also accept a ``StateFields``;
+the solver's start (possibly a caller's warm start) and
+``verify.evaluated`` (whose result keeps every state) pass one, so they
+pin no fields on states they do not own.
 """
 
 from __future__ import annotations
@@ -115,12 +120,24 @@ class StateFields:
         return vector_potential_of_spectrum(self.spec, self.rho_hat, self.kernels)
 
 
-def _state(
-    u: WaveFunction | StateFields, params: FunctionalParams, kernels: KernelSet | None
+def state_fields(
+    u: WaveFunction | StateFields, R: float, kernels: KernelSet | None = None
 ) -> StateFields:
+    """The fields of u under ``kernels`` (default ``kernels_for(u.grid, R)``).
+
+    They are kept on u and returned again to every later call with the
+    same ``KernelSet`` object; other kernels replace them.  A
+    ``StateFields`` is returned as it is, with its own kernels.
+    """
     if isinstance(u, StateFields):
         return u
-    return StateFields(u, kernels_for(u.grid, params.R) if kernels is None else kernels)
+    if kernels is None:
+        kernels = kernels_for(u.grid, R)
+    memo = vars(u)  # the instance dict, as cached_property uses it
+    fields = memo.get("_fields")
+    if fields is None or fields.kernels is not kernels:
+        fields = memo["_fields"] = StateFields(u, kernels)
+    return fields
 
 
 def evaluate(
@@ -186,11 +203,14 @@ def energy(
 ) -> EnergyBreakdown:
     """Term-by-term average-field energy of u (norm-agnostic).
 
-    ``u`` may be a ``StateFields``; its cached quantities are reused and
-    the ones the energy computes are kept on it, and its own kernels are
-    used in place of ``kernels``.
+    The fields it computes are kept on u (``state_fields``), so a later
+    call on u with the same kernels reuses them: a second ``energy``, at
+    any beta and trap, costs no transform.  ``u`` may be a
+    ``StateFields``; its cached quantities are reused and the ones the
+    energy computes are kept on it, and its own kernels are used in
+    place of ``kernels``.
     """
-    return evaluate(_state(u, params, kernels), params, with_gradient=False)[0]
+    return evaluate(state_fields(u, params.R, kernels), params, with_gradient=False)[0]
 
 
 def energy_and_gradient(
@@ -201,10 +221,11 @@ def energy_and_gradient(
     """Breakdown and first variation G of the energy; see ``evaluate``.
 
     ``u`` may be a ``StateFields``, as in ``energy``.  After ``energy``
-    on the same fields this adds 3 n x n and 3 padded transforms (one
-    n x n at beta = 0) and returns what a fresh state would, bit for bit.
+    on the same state or fields this adds 3 n x n and 3 padded transforms
+    (one n x n at beta = 0) and returns what a fresh state would, bit for
+    bit.
     """
-    return evaluate(_state(u, params, kernels), params, with_gradient=True)
+    return evaluate(state_fields(u, params.R, kernels), params, with_gradient=True)
 
 
 def gradient(
@@ -236,7 +257,7 @@ def energy_alt(
     its |u| -> 0 limit beta^2 rho |A|^2 and the result is flagged.
     """
     spec = u.grid
-    fields = _state(u, params, kernels)
+    fields = state_fields(u, params.R, kernels)
     rho = fields.rho
     absu = np.sqrt(rho)
     ax_, ay_ = spectral_gradient(spec, absu)
@@ -271,7 +292,7 @@ def sphere_project(spec: GridSpec, g: np.ndarray, u: WaveFunction) -> np.ndarray
 def magnetic_field(u: WaveFunction, params: FunctionalParams,
                    kernels: KernelSet | None = None) -> np.ndarray:
     """curl(beta A^R[rho]), the self-generated magnetic field diagnostic."""
-    return params.beta * curl_A(u.grid, _state(u, params, kernels).A)
+    return params.beta * curl_A(u.grid, state_fields(u, params.R, kernels).A)
 
 
 def winding_number(u: WaveFunction, radius: float | None = None) -> int:

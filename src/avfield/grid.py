@@ -143,9 +143,14 @@ def convolve(spec: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return padded_irfft(spec, padded_rfft(spec, f) * kh) * spec.h**2
 
 
-@dataclass
+@dataclass(frozen=True)
 class WaveFunction:
-    """Complex scalar field with its cached discrete L^2 mass."""
+    """Immutable complex scalar field with its cached discrete L^2 mass.
+
+    ``values`` is a read-only view of the samples (the caller's array
+    stays writable), so the mass and the fields that
+    ``functional.state_fields`` keeps on the state cannot go stale.
+    """
 
     grid: GridSpec
     values: np.ndarray
@@ -155,7 +160,9 @@ class WaveFunction:
             raise ConfigurationError(
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
-        self.values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values, dtype=complex).view()
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
 
     @cached_property
     def l2_norm(self) -> float:

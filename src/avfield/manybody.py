@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .functional import FunctionalParams, StateFields, evaluate
+from .functional import FunctionalParams, StateFields, evaluate, state_fields
 from .grid import GridSpec, WaveFunction, convolve, integrate, padded_irfft
-from .kernels import KernelSet, TrapPotential, kernels_for
+from .kernels import KernelSet, TrapPotential
 from .solver import SolveResult, SolverConfig, minimize
 
 
@@ -68,14 +68,16 @@ def pair_dispersion(
     u: WaveFunction, R: float, kernels: KernelSet | None = None
 ) -> float:
     """int (|grad w_R|^2 * rho) rho, the N-independent singular-term factor."""
-    if kernels is None:
-        kernels = kernels_for(u.grid, R)
-    return _pair_term(StateFields(u, kernels))
+    return _pair_term(state_fields(u, R, kernels))
 
 
 def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBreakdown:
-    """Exact per-particle energy of the N-fold product of u."""
-    fields = StateFields(u, kernels_for(u.grid, params.R))
+    """Exact per-particle energy of the N-fold product of u.
+
+    It reads the fields that ``state_fields`` keeps on u: after
+    ``energy`` on u it adds one padded inverse transform (the pair term).
+    """
+    fields = state_fields(u, params.R)
     fp = FunctionalParams(beta=params.beta, R=params.R, trap=params.trap)
     bd, _ = evaluate(fields, fp, with_gradient=False)
     one_body = bd.kinetic + bd.potential
@@ -97,7 +99,7 @@ def mixed_term_crosscheck(u: WaveFunction, R: float) -> tuple[float, float]:
     a joint test of the convolution layer and the kernel's antisymmetry.
     """
     spec = u.grid
-    fields = StateFields(u, kernels_for(spec, R))
+    fields = state_fields(u, R)
     J = fields.J
     gx, gy = fields.kernels.grad_w_fft
     # inner integral of the unfolded form; the kernel components are odd,

@@ -291,7 +291,8 @@ def _minimize_level(
     # chosen once per solve: the stiffer operator's factor goes outside
     trap_first = float(V.max()) > float(k2.max())
 
-    bd, G = energy_and_gradient(u, params, kernels)
+    # explicit fields, so none are left on u, which may be a caller's state
+    bd, G = energy_and_gradient(StateFields(u, kernels), params)
     if not np.isfinite(bd.total):
         raise NumericalFailureError("non-finite initial energy", last_state=u)
     history = [bd.total]

@@ -4,7 +4,8 @@ Layout, all little-endian: magic b"AFGS", u32 version (currently 1),
 u64 n, f64 half-width L, f64 beta, f64 R, then n*n complex samples as
 (re, im) f64 pairs in row-major order with x fastest.  The format is
 deliberately trivial so any language can parse it; round trips are
-bit-exact.  Writes go through a temp file in the same directory followed
+bit-exact, and a payload with a NaN or infinite sample is rejected on
+load.  Writes go through a temp file in the same directory followed
 by an atomic rename.
 """
 
@@ -70,7 +71,10 @@ def read_header(path: str | Path) -> StateHeader:
 def load_state(
     path: str | Path, expected: GridSpec | None = None
 ) -> tuple[WaveFunction, StateHeader]:
-    """Load a snapshot; a mismatched expected grid is rejected, not resampled."""
+    """Load a snapshot; a mismatched expected grid is rejected, not resampled.
+
+    A payload with a NaN or infinite sample raises ``FormatError``.
+    """
     header = read_header(path)
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
@@ -81,6 +85,8 @@ def load_state(
             f"{path}: payload holds {len(raw)} bytes, expected {count * 16}"
         )
     vals = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+    if not np.isfinite(vals).all():
+        raise FormatError(f"{path}: payload holds non-finite samples")
     vals = vals.reshape(header.n, header.n)
     spec = GridSpec(n=header.n, half_width=header.half_width)
     if expected is not None and (

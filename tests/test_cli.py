@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ def test_grid_mismatch_rejected_not_resampled(tmp_path, spec):
 
 def run(args):
     return main(args)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_payload_rejected(tmp_path, bad):
+    # written by hand: magic, version 1, n, L, beta, R, then (re, im) pairs
+    n = 16
+    header = struct.pack("<4sIQddd", b"AFGS", 1, n, 4.0, 1.0, 0.1)
+    payload = np.full(n * n, 0.25 + 0.5j, dtype="<c16")
+    path = tmp_path / "u.state"
+    path.write_bytes(header + payload.tobytes())
+    assert load_state(path)[0].values[0, 0] == 0.25 + 0.5j
+    payload.imag[37] = bad
+    path.write_bytes(header + payload.tobytes())
+    with pytest.raises(FormatError, match="non-finite"):
+        load_state(path)
 
 
 def test_solve_command_oscillator(tmp_path, capsys):
@@ -253,7 +269,7 @@ VERIFY_REFERENCE = {
     }),
     "functional-inequalities": ("6", {"states": 6}, {
         "diamagnetic": {"worst_margin": 0.09422328089091758},
-        "density_lower_bound": {"worst_margin": 0.2760604281290546},
+        "density_lower_bound": {"worst_margin": 0.29311369858710523},
     }),
     "manybody-identities": ("4", {"states": 4}, {
         "mixed_crosscheck": {"worst_rel": 5.682762300016326e-14},

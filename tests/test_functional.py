@@ -1,6 +1,9 @@
+import weakref
+
 import numpy as np
 import pytest
 
+from avfield import verify
 from avfield.fields import density
 from avfield.functional import (
     FunctionalParams,
@@ -11,6 +14,7 @@ from avfield.functional import (
     gradient,
     magnetic_field,
     sphere_project,
+    state_fields,
     winding_number,
 )
 from avfield.grid import (
@@ -24,6 +28,8 @@ from avfield.grid import (
     spectral_laplacian,
 )
 from avfield.kernels import TrapPotential, kernels_for
+from avfield.manybody import ManyBodyParams, product_state_energy
+from avfield.solver import SolverConfig, minimize
 from avfield.verify import abs_kinetic, smooth_state
 
 from fft_counter import FFTCounter
@@ -172,7 +178,8 @@ def test_fft_budget_per_evaluation(spec, trap, monkeypatch, beta):
     counter = FFTCounter(monkeypatch, spec.n)
     energy(u, params)
     n2_e, pad_e = counter.take()
-    energy_and_gradient(u, params)
+    # a new state over the same samples, so nothing is reused from u
+    energy_and_gradient(WaveFunction(spec, u.values), params)
     n2_eg, pad_eg = counter.take()
     assert n2_e <= 3 and n2_eg <= 6
     if beta == 0.0:
@@ -200,6 +207,79 @@ def test_gradient_from_evaluated_fields_matches_fresh_state(spec, trap, monkeypa
         assert n2 <= 1 and pad == 0
     else:
         assert n2 <= 3 and pad <= 3
+
+
+def attached_fields(u):
+    return [v for v in vars(u).values() if isinstance(v, StateFields)]
+
+
+def test_calls_on_one_state_share_its_fields(spec, trap, monkeypatch):
+    u = smooth_state(spec, np.random.default_rng(14))
+    params = FunctionalParams(beta=0.7, R=0.2, trap=trap)
+    mb = ManyBodyParams(N=10, beta=0.7, R=0.2, trap=trap)
+
+    def fresh():
+        return WaveFunction(spec, u.values.copy())
+
+    # each reference call on its own copy; this also builds the kernel FFTs
+    e_ref = energy(fresh(), params)
+    bd_ref, G_ref = energy_and_gradient(fresh(), params)
+    pb_ref = product_state_energy(fresh(), mb)
+    counter = FFTCounter(monkeypatch, spec.n)
+    e = energy(u, params)
+    after_energy = counter.take()
+    bd, G = energy_and_gradient(u, params)
+    after_gradient = counter.take()
+    pb = product_state_energy(u, mb)
+    after_product = counter.take()
+    assert (after_energy, after_gradient, after_product) == ((3, 3), (3, 3), (0, 1))
+    assert e == e_ref and bd == bd_ref and pb == pb_ref
+    assert G.tobytes() == G_ref.tobytes()
+
+
+def test_state_fields_are_keyed_by_kernels_and_freed_with_the_state(spec, trap):
+    u = smooth_state(spec, np.random.default_rng(15))
+    energy(u, FunctionalParams(beta=0.7, R=0.2, trap=trap))
+    first = weakref.ref(state_fields(u, 0.2))
+    assert attached_fields(u) == [first()]
+    assert first().kernels is kernels_for(spec, 0.2)
+    # another radius replaces the entry, and the replaced fields are freed
+    energy(u, FunctionalParams(beta=0.7, R=0.1, trap=trap))
+    second = weakref.ref(state_fields(u, 0.1))
+    assert first() is None
+    assert attached_fields(u) == [second()]
+    assert second().kernels is kernels_for(spec, 0.1)
+    del u
+    assert second() is None
+
+
+def test_solver_start_and_verify_cases_keep_no_fields(spec, trap):
+    params = FunctionalParams(beta=1.0, R=0.2, trap=trap)
+    cfg = SolverConfig(tol_grad=1e-5)
+    w = minimize(params, spec, cfg).u
+    assert not attached_fields(w)
+    # from a minimizer the warm solve stops at its start, which it returns
+    res = minimize(params, spec, cfg, warm_start=w)
+    assert res.iterations == 0
+    assert not attached_fields(w) and not attached_fields(res.u)
+    rng = np.random.default_rng(16)
+    cases = [(smooth_state(spec, rng), params) for _ in range(3)]
+    verify.evaluated(cases)
+    assert not any(attached_fields(u) for u, _ in cases)
+
+
+@pytest.mark.parametrize("beta, R", [(8.0, 1.0), (4.0, 0.5)])
+def test_density_lower_bound_holds_at_smeared_minimizers(spec, trap, beta, R):
+    # at these minimizers the magnetic kinetic energy lies below the R = 0
+    # bound 2 pi |beta| int rho^2; the smeared bound uses chi_R * rho
+    params = FunctionalParams(beta=beta, R=R, trap=trap)
+    res = minimize(params, spec, SolverConfig(tol_grad=1e-6))
+    assert res.converged
+    u = res.u
+    unsmeared = 2.0 * np.pi * beta * float(integrate(spec, density(u) ** 2))
+    assert res.breakdown.magnetic_kinetic < unsmeared
+    check = verify.density_lower_bound(verify.evaluated([(u, params)]))
+    assert check["ok"], check
 
 
 def test_sphere_projection_is_tangent(spec, trap):

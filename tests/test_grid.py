@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,3 +139,14 @@ def test_boundary_mass_decay(spec):
     assert u.boundary_mass() < 1e-16
     wide = gaussian_state(spec, width=6.0)
     assert wide.boundary_mass() > 1e-6
+
+
+def test_wavefunction_is_immutable(spec):
+    vals = np.ones((spec.n, spec.n), dtype=complex)
+    u = WaveFunction(spec, vals)
+    with pytest.raises(ValueError):
+        u.values[0, 0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        u.values = 2.0 * vals
+    vals[1, 1] = 3.0  # the caller's array stays writable
+    assert u.values[1, 1] == 3.0 and u.values[0, 0] == 1.0
