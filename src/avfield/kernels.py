@@ -161,6 +161,37 @@ def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
     )
 
 
+def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
+    """The kernels of ``spec`` restricted to the coarser grid ``coarse`` of the same box.
+
+    The padded grids of both have the period 4L, so the padded DFT index
+    m is the same wavenumber on both.  Each half spectrum keeps its
+    |m| < n_c rows and columns, scaled by (h / h_c)^2 for the h^2 of the
+    convolution; the coarse Nyquist row and column are zeroed, as
+    ``solver._prolong`` zeroes the coarse Nyquist.  For a density whose
+    padded spectrum lies in that band the coarse convolution then returns
+    the fine one at the coarse points (the Galerkin coarse operator), R < h_c
+    included, which point sampling on the coarse grid cannot resolve.
+    """
+    if coarse.half_width != spec.half_width or coarse.n >= spec.n:
+        raise ConfigurationError(f"{coarse} is not a coarsening of {spec}")
+    nc = coarse.n
+    scale = (nc / spec.n) ** 2  # (h / h_c)^2, exact for powers of two
+
+    def band(fh: np.ndarray) -> np.ndarray:
+        out = np.concatenate([fh[:nc, :nc + 1], fh[-nc:, :nc + 1]]) * scale
+        out[nc] = 0.0
+        out[:, nc] = 0.0
+        return out
+
+    sq = kernels.grad_w_sq_fft
+    return KernelSet(
+        R=kernels.R,
+        grad_w_fft=(band(kernels.grad_w_fft[0]), band(kernels.grad_w_fft[1])),
+        grad_w_sq_fft=None if sq is None else band(sq),
+    )
+
+
 @lru_cache(maxsize=16)
 def _cached_kernels(spec: GridSpec, R: float) -> KernelSet:
     return sample_kernels(spec, R)

@@ -45,12 +45,23 @@ of full multigrid (Brandt, "Multi-level adaptive solutions to
 boundary-value problems", Math. Comp. 31, 1977): it solves the same
 problem on n / 2 points (recursively, down to n = 64, where the
 configured init applies), interpolates that minimizer spectrally onto n
-points and finishes there.  Most iterations only carry the start toward
-a minimizer that a coarse grid already resolves, and a coarse iteration
-costs a quarter of a fine one: the harmonic reference solve at n = 256
-spends 18, 11 and 6 iterations on n = 64, 128 and 256, against 17 on
-n = 256 alone.  Every level uses the same configuration.  A warm start
-skips the coarse levels.
+points and finishes there.  Every level uses the same configuration.  A
+warm start skips the coarse levels.
+
+The coarse levels solve the fine grid's problem, not their own
+discretization of it: their kernels are the fine kernels' padded
+spectra restricted to the coarse band (``kernels.restrict``, the
+Galerkin coarse operator of Briggs, Henson & McCormick, A Multigrid
+Tutorial, SIAM 2000, ch. 5).  All padded grids have the period 4L, so a
+padded DFT index is the same wavenumber on every level, and for a
+density band-limited to the coarse grid, such as that of a prolonged
+state, the fine convolution reads only that band: the coarse energy of a
+smooth state is the fine energy of its prolongation to 1e-13 relative,
+so the prolonged coarse minimizer mostly meets the fine tolerance as it
+is.  The harmonic reference solve at n = 256 spends 18, 0 and 0
+iterations on n = 64, 128 and 256, against 17 on n = 256 alone; with
+kernels point-sampled on each coarse grid, which cannot resolve R < h,
+it spent 18, 11 and 6.
 """
 
 from __future__ import annotations
@@ -69,7 +80,7 @@ from .functional import (
     energy_and_gradient,
     sphere_project,
 )
-from .kernels import KernelSet, kernels_for, sample_kernels, trap_values
+from .kernels import KernelSet, kernels_for, restrict, trap_values
 
 BOUNDARY_MASS_WARN = 1e-8
 MAX_BACKTRACKS = 60
@@ -215,26 +226,28 @@ def _coarse_start(
     params: FunctionalParams,
     spec: GridSpec,
     cfg: SolverConfig,
+    kernels: KernelSet,
     levels: list[int],
     warnings: list[str],
 ) -> WaveFunction:
     """Start of a cold solve on ``spec``: the prolonged minimizer on n / 2 points.
 
     The coarse solve is itself started this way, down to COARSEST_N, where
-    the configured init applies.  Each level samples its own kernels and
-    drops them with the level, so the ``kernels_for`` cache holds only the
-    grids that callers use.  ``levels`` receives the iterations of each
-    coarse level, coarsest first.  A coarse level that fails is not fatal:
+    the configured init applies.  Each level restricts the ``kernels`` of
+    ``spec`` to its own grid (``kernels.restrict``) and drops them with the
+    level, so no coarse grid is sampled or cached.  ``levels`` receives the
+    iterations of each coarse level, coarsest first.  A coarse level that fails is not fatal:
     ``spec`` then starts from its own initial state, with one warning, and
     the levels below the failed one are dropped from ``levels``.
     """
     coarse = GridSpec(spec.n // 2, spec.half_width)
+    coarse_kernels = restrict(kernels, spec, coarse)
     if coarse.n >= 2 * COARSEST_N:
-        u = _coarse_start(params, coarse, cfg, levels, warnings)
+        u = _coarse_start(params, coarse, cfg, coarse_kernels, levels, warnings)
     else:
         u = initial_state(coarse, cfg)
     try:
-        res = _minimize_level(params, coarse, cfg, u, sample_kernels(coarse, params.R))
+        res = _minimize_level(params, coarse, cfg, u, coarse_kernels)
     except (NumericalFailureError, SolverStalledError) as exc:
         levels.clear()
         warnings.append(
@@ -261,11 +274,12 @@ def minimize(
     """
     levels: list[int] = []
     warnings: list[str] = []
+    kernels = kernels_for(spec, params.R)
     if warm_start is None and spec.n >= 2 * COARSEST_N:
-        u = _coarse_start(params, spec, cfg, levels, warnings)
+        u = _coarse_start(params, spec, cfg, kernels, levels, warnings)
     else:
         u = initial_state(spec, cfg, warm_start)
-    res = _minimize_level(params, spec, cfg, u, kernels_for(spec, params.R))
+    res = _minimize_level(params, spec, cfg, u, kernels)
     res.level_iterations = levels + [res.iterations]
     res.warnings[:0] = warnings
     return res

@@ -15,7 +15,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import geometry
-from .fields import curl_A, density, vector_potential
+from .fields import curl_A, density
 from .functional import FunctionalParams, StateFields, energy
 from .grid import GridSpec, WaveFunction, integrate, spectral_gradient
 from .kernels import SmearedCoulomb, TrapPotential, kernels_for, lp_norm_grad_w
@@ -42,38 +42,42 @@ def abs_kinetic(u: WaveFunction) -> float:
     return float(integrate(u.grid, np.abs(gx) ** 2 + np.abs(gy) ** 2))
 
 
-def evaluated(cases: Iterable[tuple[WaveFunction, FunctionalParams]]) -> list[tuple]:
-    """(state, parameters, energy breakdown) for each (state, parameters) case.
-
-    Each energy reads fields built for it alone, not kept on the state:
-    the list holds every state, and each state's fields would stay with it.
-    """
-    return [(u, p, energy(StateFields(u, kernels_for(u.grid, p.R)), p)) for u, p in cases]
-
-
-def diamagnetic(cases) -> dict:
-    """int |(grad + i beta A[rho]) u|^2 >= int |grad |u||^2 on ``evaluated`` cases."""
-    worst = min(bd.magnetic_kinetic - abs_kinetic(u) for u, _, bd in cases)
-    return {"name": "diamagnetic", "worst_margin": worst, "ok": worst > -1e-9}
-
-
-def _magnetic_lower_bound(u: WaveFunction, p: FunctionalParams) -> float:
+def _magnetic_lower_bound(fields: StateFields, p: FunctionalParams) -> float:
     """|beta| |int rho curl A_R[rho]|, a lower bound of int |(grad + i beta A_R) u|^2.
 
     curl A_R[rho] = 2 pi chi_R * rho with chi_R the normalized disc of
     radius R: at R = 0 the bound is 2 pi |beta| int rho^2, computed as
-    that, and for R > 0 it is smaller.
+    that, and for R > 0 it is smaller.  A_R is the one the energy built.
     """
-    rho = density(u)
+    spec, rho = fields.spec, fields.rho
     if p.R == 0.0:
-        return 2.0 * np.pi * abs(p.beta) * float(integrate(u.grid, rho**2))
-    A = vector_potential(u.grid, rho, kernels_for(u.grid, p.R))
-    return abs(p.beta) * abs(float(integrate(u.grid, rho * curl_A(u.grid, A))))
+        return 2.0 * np.pi * abs(p.beta) * float(integrate(spec, rho**2))
+    return abs(p.beta) * abs(float(integrate(spec, rho * curl_A(spec, fields.A))))
+
+
+def evaluated(cases: Iterable[tuple[WaveFunction, FunctionalParams]]) -> list[tuple]:
+    """(state, parameters, energy breakdown, magnetic lower bound) for each case.
+
+    Each case's energy and ``_magnetic_lower_bound`` read fields built for
+    it alone, not kept on the state: the list holds every state, and each
+    state's fields would stay with it.
+    """
+    out = []
+    for u, p in cases:
+        fields = StateFields(u, kernels_for(u.grid, p.R))
+        out.append((u, p, energy(fields, p), _magnetic_lower_bound(fields, p)))
+    return out
+
+
+def diamagnetic(cases) -> dict:
+    """int |(grad + i beta A[rho]) u|^2 >= int |grad |u||^2 on ``evaluated`` cases."""
+    worst = min(bd.magnetic_kinetic - abs_kinetic(u) for u, _, bd, _ in cases)
+    return {"name": "diamagnetic", "worst_margin": worst, "ok": worst > -1e-9}
 
 
 def density_lower_bound(cases) -> dict:
     """int |(grad + i beta A_R[rho]) u|^2 >= ``_magnetic_lower_bound`` on ``evaluated`` cases."""
-    worst = min(bd.magnetic_kinetic - _magnetic_lower_bound(u, p) for u, p, bd in cases)
+    worst = min(bd.magnetic_kinetic - bound for _, _, bd, bound in cases)
     return {"name": "density_lower_bound", "worst_margin": worst, "ok": worst > -1e-9}
 
 

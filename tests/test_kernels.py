@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from avfield.errors import DomainError
-from avfield.grid import GridSpec
+from avfield.errors import ConfigurationError, DomainError
+from avfield.functional import FunctionalParams, StateFields, energy, gradient
+from avfield.grid import GridSpec, WaveFunction, inner
 from avfield.kernels import (
     SmearedCoulomb,
     TrapPotential,
@@ -13,8 +14,11 @@ from avfield.kernels import (
     eta0,
     kernels_for,
     lp_norm_grad_w,
+    restrict,
     sample_kernels,
 )
+from avfield.solver import _prolong
+from avfield.verify import smooth_state
 
 
 def test_outside_branch_is_plain_log():
@@ -137,3 +141,58 @@ def test_kernel_sampling_and_cache():
     point = sample_kernels(spec, 0.0)
     assert point.grad_w_sq_fft is None
     assert kernels_for(spec, 0.3) is kernels_for(spec, 0.3)
+
+
+FINE = GridSpec(n=256, half_width=8.0)
+COARSE = GridSpec(n=64, half_width=8.0)
+
+
+@pytest.mark.parametrize("R", [0.0, 0.05, 0.1, 0.4])
+def test_restricted_kernels_are_the_galerkin_coarse_operator(R):
+    # a coarse state and its spectral prolongation have the same energy,
+    # term by term, under the restricted and the fine kernels; coarse point
+    # samples are 0.5-2% off in the quartic term (and see no R < h = 0.25)
+    params = FunctionalParams(beta=1.0, R=R, trap=TrapPotential())
+    u = smooth_state(COARSE, np.random.default_rng(0))
+    fine_kernels = kernels_for(FINE, R)
+    got = energy(StateFields(u, restrict(fine_kernels, FINE, COARSE)), params)
+    want = energy(StateFields(_prolong(u, FINE), fine_kernels), params)
+    for term in ("kinetic", "mixed", "quartic", "potential"):
+        assert getattr(got, term) == pytest.approx(getattr(want, term), rel=1e-12), term
+    sampled = energy(StateFields(u, sample_kernels(COARSE, R)), params)
+    assert sampled.quartic != pytest.approx(want.quartic, rel=1e-3)
+
+
+def test_gradient_contract_with_restricted_kernels():
+    rng = np.random.default_rng(7)
+    u = smooth_state(COARSE, rng)
+    params = FunctionalParams(beta=0.9, R=0.15, trap=TrapPotential())
+    kernels = restrict(kernels_for(FINE, params.R), FINE, COARSE)
+    G = gradient(u, params, kernels)
+    v = smooth_state(COARSE, rng).values
+    eps = 1e-5
+
+    def e_at(t):
+        return energy(WaveFunction(COARSE, u.values + t * v), params, kernels).total
+
+    fd = (e_at(eps) - e_at(-eps)) / (2.0 * eps)
+    assert fd == pytest.approx(2.0 * inner(COARSE, v, G).real, rel=1e-6)
+
+
+@pytest.mark.parametrize("R", [0.0, 0.1])
+def test_restriction_composes_exactly(R):
+    mid = GridSpec(n=128, half_width=8.0)
+    fine = kernels_for(FINE, R)
+    direct = restrict(fine, FINE, COARSE)
+    chained = restrict(restrict(fine, FINE, mid), mid, COARSE)
+    pairs = list(zip(direct.grad_w_fft, chained.grad_w_fft))
+    if R > 0.0:
+        pairs.append((direct.grad_w_sq_fft, chained.grad_w_sq_fft))
+    else:
+        assert direct.grad_w_sq_fft is None and chained.grad_w_sq_fft is None
+    for a, b in pairs:
+        assert a.shape == (128, 65)
+        assert np.array_equal(a, b)
+        assert not a[64].any() and not a[:, 64].any()  # the coarse Nyquist
+    with pytest.raises(ConfigurationError):
+        restrict(fine, FINE, GridSpec(n=64, half_width=4.0))

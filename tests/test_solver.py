@@ -352,14 +352,40 @@ def test_coarse_started_solve_matches_single_level_solve(beta, trap):
 
 
 def test_reference_solve_spends_few_fine_iterations(trap):
-    # a single-level solve takes 17 iterations at n = 256
+    # a single-level solve takes 17 iterations at n = 256; coarse levels
+    # that sampled their own kernels left 11 and 6 to n = 128 and 256
     grid = GridSpec(n=256, half_width=8.0)
     res = minimize(FunctionalParams(beta=1.0, R=0.1, trap=trap), grid,
                    SolverConfig(tol_grad=1e-5))
     assert res.converged
     assert len(res.level_iterations) == 3
     assert res.iterations == res.level_iterations[-1] <= 8
+    assert max(res.level_iterations[1:]) <= 1
     assert res.breakdown.total == pytest.approx(2.2664606841536585, rel=1e-10)
+
+
+def test_coarse_levels_restrict_the_fine_kernels(trap, monkeypatch):
+    grid = GridSpec(n=256, half_width=8.0)
+    params = FunctionalParams(beta=1.0, R=0.1, trap=trap)
+    kernels_for(grid, params.R)
+
+    def sampling(*args):
+        raise AssertionError("a kernel was sampled")
+
+    # every sample_kernels call, under any name, samples grad w_R
+    monkeypatch.setattr("avfield.kernels.SmearedCoulomb.grad_w", sampling)
+    res = minimize(params, grid, SolverConfig(max_iters=2))
+    assert res.level_iterations == [2, 2, 2]
+
+
+def test_strong_coupling_cold_solve_converges(trap):
+    # with point-sampled coarse kernels this solve stalled unconverged on
+    # n = 256 after 94, 48 and 36 iterations
+    grid = GridSpec(n=256, half_width=8.0)
+    res = minimize(FunctionalParams(beta=8.0, R=0.1, trap=trap), grid,
+                   SolverConfig(tol_grad=1e-6))
+    assert res.converged
+    assert res.breakdown.total == pytest.approx(5.779553206711, abs=1e-9)
 
 
 def test_warm_and_from_file_solves_stay_single_level(trap):
