@@ -5,13 +5,13 @@ up the suite, adds the configuration to its report and sets the exit
 code.  Reports are JSON (nested summaries) or CSV (flat sweep tables).
 Every JSON report embeds the resolved configuration and the package
 version so a run can be reproduced from its artifacts alone.  Exit
-codes: 0 success, 1 configuration error (an argparse usage error too),
-2 numerical failure, 3 invariant violation found by verify, 4 a solve or
-a sweep row stopped unconverged.  An unconverged solve or sweep row is
-also reported on stderr (and in a solve report's ``warnings``), after
-its report, state and CSV are written.  A sweep row that raised a
-numerical failure makes the sweep exit 2, whether or not other rows are
-unconverged.
+codes: 0 success, 1 configuration error (an argparse usage error too,
+such as ``verify --samples`` below 1), 2 numerical failure, 3 invariant
+violation found by verify, 4 a solve or a sweep row stopped unconverged.
+An unconverged solve or sweep row is also reported on stderr (and in a
+solve report's ``warnings``), after its report, state and CSV are
+written.  A sweep row that raised a numerical failure makes the sweep
+exit 2, whether or not other rows are unconverged.
 """
 
 from __future__ import annotations
@@ -199,6 +199,13 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report["ok"] else EXIT_INVARIANT
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="avfield",
@@ -247,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run a sampling verification suite")
     sp.add_argument("suite", choices=sorted(verify.SUITES))
-    sp.add_argument("--samples", type=int, default=100_000)
+    sp.add_argument("--samples", type=positive_int, default=100_000)
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)

@@ -18,6 +18,16 @@ once, and since max(|v|, R)^2 = max(|v|^2, R^2) the R path takes no
 square root.  The naive sum cancels, so its round-off scales with
 (rho^2/area)^2 (see ``conditioning_ratio``).  The ``Triangle`` properties
 and the scalar checks are views over the batch functions.
+
+The regime generators decide their edge tests from squared lengths too,
+comparing dx^2 + dy^2 with R^2; where the two lie within 1e-12 relative
+of each other, ``hypot`` decides, so each decision is the one ``hypot``
+gives.  They build and test candidates a chunk of coordinate planes at a
+time, stop at the m-th accepted one and assemble only the triangles they
+return.  Every round of candidates is still drawn whole, so the output
+and the rng state after each call equal those of a generator that tests
+every candidate with ``hypot`` (the reference in the tests), byte for
+byte.
 """
 
 from __future__ import annotations
@@ -228,16 +238,116 @@ def circumradius_bounds(t: Triangle) -> CircumradiusReport:
 # ---------------------------------------------------------------------------
 # triangle generators (vertices in [-2, 2]^2, plus edge-regime targeting)
 
+# Edge tests compare dx^2 + dy^2 with R^2.  Both carry a few ulps of
+# relative round-off and hypot(dx, dy) one, so outside this relative band
+# about R^2 the decision is the one hypot gives; inside it, hypot
+# decides.  Squared lengths below SQUARED_FLOOR may have lost relative
+# precision to underflow, so hypot decides all where R^2 lies below it or
+# above its inverse.
+SQUARED_BAND = 1e-12
+SQUARED_FLOOR = 1e-290
+# candidates per chunk of a generator's plane arithmetic; chunk
+# temporaries stay in cache and are reused by the allocator
+CHUNK = 1 << 14
+
 
 def random_triangles(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(m, 3, 2))
 
 
+def _chunks(k: int):
+    return (slice(lo, lo + CHUNK) for lo in range(0, k, CHUNK))
+
+
+def compare_edge(
+    d: np.ndarray, R: float, op: Callable[[np.ndarray, float], np.ndarray]
+) -> np.ndarray:
+    """op(hypot(d), R) for edge vectors stored as (2, k) coordinate planes,
+    decided from squared lengths (``op`` is a numpy comparison ufunc)."""
+    R2 = R * R
+    if not (R > 0.0 and SQUARED_FLOOR <= R2 <= 1.0 / SQUARED_FLOOR):
+        return op(np.hypot(d[0], d[1]), R)
+    sq = _dot(d, d)
+    out = op(sq, R2)
+    sq -= R2
+    near = np.flatnonzero(np.abs(sq, out=sq) <= SQUARED_BAND * R2)
+    out[near] = op(np.hypot(d[0, near], d[1, near]), R)
+    return out
+
+
 def _rescale_to_max_edge(tri: np.ndarray, target: np.ndarray) -> np.ndarray:
-    e = batch_edges(tri).max(axis=1)
-    centroid = tri.mean(axis=1, keepdims=True)
-    factor = (target / np.maximum(e, 1e-300))[:, np.newaxis, np.newaxis]
-    return centroid + (tri - centroid) * factor
+    """Scale each triangle about its centroid to the longest edge ``target``.
+
+    Only the longest edge, chosen by squared length, takes a hypot; all
+    three do where the top two squared lengths tie within SQUARED_BAND
+    or the longest lies below SQUARED_FLOOR.
+    """
+    out = np.empty(tri.shape)
+    rows = out.reshape(len(tri), 6).T
+    for s in _chunks(len(tri)):
+        x, y, z = np.moveaxis(tri[s], 0, -1)
+        edges = [_sub(x, y), _sub(y, z), _sub(z, x)]
+        sq = [_dot(d, d) for d in edges]
+        first = sq[0] >= sq[1]
+        top01 = np.maximum(sq[0], sq[1])
+        top = np.maximum(top01, sq[2])
+        second = np.maximum(np.minimum(sq[0], sq[1]), np.minimum(top01, sq[2]))
+        tie = np.flatnonzero((second >= top * (1.0 - SQUARED_BAND)) | (top < SQUARED_FLOOR))
+        longest = top01 >= sq[2]
+        e = np.hypot(*np.where(longest, np.where(first, edges[0], edges[1]), edges[2]))
+        e[tie] = np.max([np.hypot(d[0, tie], d[1, tie]) for d in edges], axis=0)
+        centroid = (x + y + z) / 3.0
+        factor = target[s] / np.maximum(e, 1e-300)
+        for dst, p, c in zip(rows, (*x, *y, *z), (*centroid,) * 3):
+            dst[s] = c + (p - c) * factor
+    return out
+
+
+def _step(p: np.ndarray, r: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """p + r (cos th, sin th) for points stored as (2, k) coordinate planes."""
+    q = np.empty(p.shape)
+    np.add(p[0], r * np.cos(th), out=q[0])
+    np.add(p[1], r * np.sin(th), out=q[1])
+    return q
+
+
+# Rejection samplers: (rng, k, R) draws a round of k candidates and yields
+# them in draw order as vertex planes, a chunk at a time.  The whole round
+# is drawn before the first chunk, so the rng advances the same however
+# many chunks are taken.
+
+
+def _all_long(rng, k, R):
+    cand = random_triangles(rng, k)
+    for s in _chunks(k):
+        yield np.moveaxis(cand[s], 0, -1)
+
+
+def _two_short(rng, k, R):
+    x = rng.uniform(-2.0, 2.0, size=(k, 2)).T
+    th1, th2 = rng.uniform(0, 2 * np.pi, size=(2, k))
+    r1 = R * rng.uniform(0.5, 1.0, size=k)
+    r2 = R * rng.uniform(0.5, 1.0, size=k)
+    for s in _chunks(k):
+        y = _step(x[:, s], r1[s], th1[s])
+        yield x[:, s], y, _step(y, r2[s], th2[s])
+
+
+def _one_short(rng, k, R):
+    x = rng.uniform(-2.0, 2.0, size=(k, 2)).T
+    th = rng.uniform(0, 2 * np.pi, size=k)
+    r1 = R * rng.uniform(0.05, 1.0, size=k)
+    z = rng.uniform(-2.0, 2.0, size=(k, 2)).T
+    for s in _chunks(k):
+        yield x[:, s], _step(x[:, s], r1[s], th[s]), z[:, s]
+
+
+# regime -> (sampler, comparisons of |x-y|, |y-z|, |z-x| with R)
+_REJECTION = {
+    "all_long": (_all_long, (np.greater, np.greater, np.greater)),
+    "two_short": (_two_short, (np.less_equal, np.less_equal, np.greater_equal)),
+    "one_short": (_one_short, (np.less_equal, np.greater_equal, np.greater_equal)),
+}
 
 
 def regime_triangles(
@@ -248,50 +358,35 @@ def regime_triangles(
     regime: 'all_long' (every edge > R), 'all_short' (every edge < R),
     'two_short' (|x-y|, |y-z| <= R <= |x-z|), 'one_short'
     (|x-y| <= R <= |y-z|, |z-x|), or 'mixed' (uniform, no targeting).
+    The rejection samplers draw rounds of 2m candidates until m are
+    accepted and return the first m accepted, in draw order.  Each round
+    is drawn whole, but its candidates are built and tested a chunk at a
+    time, only until the m-th is accepted.
     """
     if regime == "mixed":
         return random_triangles(rng, m)
-    if regime == "all_long":
-        out = np.empty((0, 3, 2))
-        while len(out) < m:
-            cand = random_triangles(rng, 2 * m)
-            keep = batch_edges(cand).min(axis=1) > R
-            out = np.concatenate([out, cand[keep]])
-        return out[:m]
     if regime == "all_short":
         base = random_triangles(rng, m)
         target = R * rng.uniform(0.3, 0.95, size=m)
         return _rescale_to_max_edge(base, target)
-    if regime == "two_short":
-        out = np.empty((0, 3, 2))
-        while len(out) < m:
-            k = 2 * m
-            x = rng.uniform(-2.0, 2.0, size=(k, 2))
-            th1, th2 = rng.uniform(0, 2 * np.pi, size=(2, k))
-            r1 = R * rng.uniform(0.5, 1.0, size=k)
-            r2 = R * rng.uniform(0.5, 1.0, size=k)
-            y = x + np.stack([r1 * np.cos(th1), r1 * np.sin(th1)], axis=1)
-            z = y + np.stack([r2 * np.cos(th2), r2 * np.sin(th2)], axis=1)
-            cand = np.stack([x, y, z], axis=1)
-            e = batch_edges(cand)
-            keep = (e[:, 0] <= R) & (e[:, 1] <= R) & (e[:, 2] >= R)
-            out = np.concatenate([out, cand[keep]])
-        return out[:m]
-    if regime == "one_short":
-        out = np.empty((0, 3, 2))
-        while len(out) < m:
-            k = 2 * m
-            x = rng.uniform(-2.0, 2.0, size=(k, 2))
-            th = rng.uniform(0, 2 * np.pi, size=k)
-            r1 = R * rng.uniform(0.05, 1.0, size=k)
-            y = x + np.stack([r1 * np.cos(th), r1 * np.sin(th)], axis=1)
-            z = rng.uniform(-2.0, 2.0, size=(k, 2))
-            cand = np.stack([x, y, z], axis=1)
-            e = batch_edges(cand)
-            keep = (e[:, 0] <= R) & (e[:, 1] >= R) & (e[:, 2] >= R)
-            out = np.concatenate([out, cand[keep]])
-        return out[:m]
-    raise DomainError(f"unknown regime {regime!r}")
+    if regime not in _REJECTION:
+        raise DomainError(f"unknown regime {regime!r}")
+    sampler, ops = _REJECTION[regime]
+    out = np.empty((m, 3, 2))
+    rows = out.reshape(m, 6).T
+    have = 0
+    while have < m:
+        for x, y, z in sampler(rng, 2 * m, R):
+            keep = compare_edge(_sub(x, y), R, ops[0])
+            keep &= compare_edge(_sub(y, z), R, ops[1])
+            keep &= compare_edge(_sub(z, x), R, ops[2])
+            idx = np.flatnonzero(keep)[: m - have]
+            for dst, src in zip(rows, (*x, *y, *z)):
+                dst[have : have + len(idx)] = src[idx]
+            have += len(idx)
+            if have == m:
+                break
+    return out
 
 
 @dataclass

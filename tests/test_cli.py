@@ -253,6 +253,28 @@ def test_verify_deterministic(tmp_path):
     assert ra == rb
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("suite", sorted(cli.verify.SUITES))
+def test_verify_rejects_fewer_than_one_sample(tmp_path, capsys, suite, samples):
+    out = tmp_path / "report.json"
+    assert run(["verify", suite, "--samples", samples, "--out", str(out)]) == EXIT_CONFIG
+    assert f"--samples: must be at least 1, got {samples}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("suite", sorted(cli.verify.SUITES))
+def test_verify_reports_are_strict_json(tmp_path, suite):
+    for samples in ("1", "3"):
+        out = tmp_path / "report.json"
+        assert run(["verify", suite, "--samples", samples, "--out", str(out)]) in (
+            EXIT_OK, EXIT_INVARIANT)
+        json.loads(out.read_text(), parse_constant=reject_constant)
+
+
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INVARIANT, EXIT_UNCONVERGED) == (
         0, 1, 2, 3, 4

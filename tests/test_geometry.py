@@ -15,7 +15,9 @@ from avfield.geometry import (
     batch_cyclic_sum,
     batch_edges,
     batch_rho_sq,
+    _rescale_to_max_edge,
     circumradius_bounds,
+    compare_edge,
     conditioning_ratio,
     counterexample_probe,
     cyclic_sum,
@@ -356,3 +358,152 @@ def test_verify_geometry_report_pinned(tmp_path):
         assert got["R"] == R
         assert got["max_upper_ratio"] == pytest.approx(ratio, rel=1e-12, abs=0)
         assert got["min_cyclic_sum"] == pytest.approx(min_sum, rel=0, abs=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the generators against their hypot-based form: every edge test decided by
+# np.hypot on (k, 2) views and every accepted candidate assembled, then cut
+
+
+def hypot_edges(tri):
+    x, y, z = tri[:, 0], tri[:, 1], tri[:, 2]
+    return np.stack([np.hypot(*(x - y).T), np.hypot(*(y - z).T), np.hypot(*(z - x).T)], axis=1)
+
+
+def oracle_rescale_to_max_edge(tri, target):
+    e = hypot_edges(tri).max(axis=1)
+    centroid = tri.mean(axis=1, keepdims=True)
+    factor = (target / np.maximum(e, 1e-300))[:, np.newaxis, np.newaxis]
+    return centroid + (tri - centroid) * factor
+
+
+def oracle_regime_triangles(rng, m, R, regime):
+    """(triangles, rounds of candidates drawn)."""
+    if regime == "mixed":
+        return random_triangles(rng, m), 0
+    if regime == "all_short":
+        base = random_triangles(rng, m)
+        target = R * rng.uniform(0.3, 0.95, size=m)
+        return oracle_rescale_to_max_edge(base, target), 0
+    out, rounds = np.empty((0, 3, 2)), 0
+    while len(out) < m:
+        rounds += 1
+        k = 2 * m
+        if regime == "all_long":
+            cand = random_triangles(rng, k)
+            keep = hypot_edges(cand).min(axis=1) > R
+        elif regime == "two_short":
+            x = rng.uniform(-2.0, 2.0, size=(k, 2))
+            th1, th2 = rng.uniform(0, 2 * np.pi, size=(2, k))
+            r1 = R * rng.uniform(0.5, 1.0, size=k)
+            r2 = R * rng.uniform(0.5, 1.0, size=k)
+            y = x + np.stack([r1 * np.cos(th1), r1 * np.sin(th1)], axis=1)
+            z = y + np.stack([r2 * np.cos(th2), r2 * np.sin(th2)], axis=1)
+            cand = np.stack([x, y, z], axis=1)
+            e = hypot_edges(cand)
+            keep = (e[:, 0] <= R) & (e[:, 1] <= R) & (e[:, 2] >= R)
+        else:
+            x = rng.uniform(-2.0, 2.0, size=(k, 2))
+            th = rng.uniform(0, 2 * np.pi, size=k)
+            r1 = R * rng.uniform(0.05, 1.0, size=k)
+            y = x + np.stack([r1 * np.cos(th), r1 * np.sin(th)], axis=1)
+            z = rng.uniform(-2.0, 2.0, size=(k, 2))
+            cand = np.stack([x, y, z], axis=1)
+            e = hypot_edges(cand)
+            keep = (e[:, 0] <= R) & (e[:, 1] >= R) & (e[:, 2] >= R)
+        out = np.concatenate([out, cand[keep]])
+    return out[:m], rounds
+
+
+def assert_same_draws(m, R, regime, seed):
+    """regime_triangles and the oracle give the same bytes and leave the
+    rng in the same state; returns the oracle's rounds."""
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = regime_triangles(rng, m, R, regime)
+    want, rounds = oracle_regime_triangles(oracle_rng, m, R, regime)
+    assert got.shape == (m, 3, 2) and got.dtype == np.float64
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert rng.random() == oracle_rng.random()
+    return rounds
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 2000])
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_triangles_match_hypot_oracle(regime, m):
+    rounds = []
+    for seed in range(10):
+        R = float(np.random.default_rng([seed, m]).uniform(0.01, 3.0))
+        rounds.append(assert_same_draws(m, R, regime, seed))
+    if regime in ("all_long", "one_short"):
+        assert max(rounds) >= 2  # a later round and the cut of its surplus
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_triangles_many_chunks_match_hypot_oracle(regime):
+    # 2m candidates span several chunks of the plane arithmetic
+    assert_same_draws(50_000, 0.3, regime, seed=31)
+
+
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_triangles_empty(regime):
+    assert_same_draws(0, 0.3, regime, seed=0)  # a (0, 3, 2) array
+
+
+@pytest.mark.parametrize("op", [np.greater, np.less_equal, np.greater_equal])
+def test_compare_edge_at_the_seam(op):
+    rng = np.random.default_rng(40)
+    R = rng.uniform(0.01, 3.0, size=1000)
+    # edges just inside, at and just outside R, along an axis (hypot = the
+    # length exactly) and at random angles
+    length = np.concatenate([np.nextafter(R, 0.0), R, np.nextafter(R, np.inf)])
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=length.size)
+    for d in (np.stack([length, np.zeros_like(length)]),
+              np.stack([length * np.cos(angle), length * np.sin(angle)])):
+        for i, r in enumerate(np.tile(R, 3)):
+            want = op(np.hypot(d[0, i], d[1, i]), r)
+            assert compare_edge(d[:, i : i + 1], float(r), op)[0] == want
+    # the squared lengths alone get some of these wrong
+    d = np.stack([length * np.cos(angle), length * np.sin(angle)])
+    R3 = np.tile(R, 3)
+    assert (op(d[0] ** 2 + d[1] ** 2, R3**2) != op(np.hypot(*d), R3)).any()
+
+
+def test_compare_edge_where_sqrt_and_hypot_round_apart():
+    rng = np.random.default_rng(41)
+    d = rng.uniform(-1.0, 1.0, size=(2, 2000))
+    h = np.hypot(*d)
+    apart = np.flatnonzero(np.sqrt(d[0] ** 2 + d[1] ** 2) != h)
+    assert apart.size > 0
+    for i in apart:
+        for R in (h[i], np.sqrt(d[0, i] ** 2 + d[1, i] ** 2)):
+            for op in (np.greater, np.less_equal, np.greater_equal):
+                assert compare_edge(d[:, i : i + 1], float(R), op)[0] == op(h[i], R)
+
+
+@pytest.mark.parametrize("R", [0.0, -0.3, 1e-160, 1e160])
+def test_compare_edge_outside_the_squared_range(R):
+    # R^2 underflows, overflows or R is not positive: hypot decides all
+    d = np.array([[1e-170, 0.5, 1e159], [0.0, 0.0, 1e159]])
+    for op in (np.greater, np.less_equal, np.greater_equal):
+        assert (compare_edge(d, R, op) == op(np.hypot(*d), R)).all()
+
+
+def test_rescale_matches_oracle_on_near_ties():
+    rng = np.random.default_rng(42)
+    s3 = np.sqrt(3.0) / 2.0
+    shapes = [
+        [[0.0, 0.0], [1.0, 0.0], [0.5, s3]],  # equilateral
+        [[0.0, 0.0], [0.4, 0.0], [0.2, 1.3]],  # isosceles, two longest equal
+        [[0.0, 0.0], [0.4, 0.0], [0.2 + 1e-13, 1.3]],  # nearly so
+    ]
+    angle = rng.uniform(0.0, 2.0 * np.pi, size=200)
+    rot = np.stack([np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)], axis=1)
+    for shape in np.array(shapes):
+        # rotated, scaled and shifted copies in every vertex order
+        tri = np.einsum("kij,vj->kvi", rot.reshape(-1, 2, 2), shape)
+        tri = tri * rng.uniform(0.1, 1.0, size=(200, 1, 1)) + rng.uniform(-1, 1, size=(200, 1, 2))
+        tri = np.concatenate([tri, tri[:, ::-1], np.roll(tri, 1, axis=1)])
+        target = rng.uniform(0.01, 1.0, size=len(tri))
+        got = _rescale_to_max_edge(tri, target)
+        assert got.tobytes() == oracle_rescale_to_max_edge(tri, target).tobytes()
