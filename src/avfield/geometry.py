@@ -361,8 +361,11 @@ def regime_triangles(
     The rejection samplers draw rounds of 2m candidates until m are
     accepted and return the first m accepted, in draw order.  Each round
     is drawn whole, but its candidates are built and tested a chunk at a
-    time, only until the m-th is accepted.
+    time, only until the m-th is accepted.  R < 0 is rejected: no candidate
+    could have an edge <= R, so 'two_short' and 'one_short' would never return.
     """
+    if R < 0:
+        raise DomainError(f"need R >= 0, got {R}")
     if regime == "mixed":
         return random_triangles(rng, m)
     if regime == "all_short":

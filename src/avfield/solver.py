@@ -2,20 +2,27 @@
 
 Preconditioned nonlinear conjugate gradients (Polak-Ribiere+) with
 Armijo backtracking, after Antoine, Levitt & Tang, J. Comput. Phys. 343
-(2017).  The projected gradient g is passed through a symmetric
-preconditioner built from the spectral Sobolev factor
-P_D = (k^2 + sigma)^-1 and the trap factor (V + sigma)^-1, so that both
-the Laplacian's stiffness and the trap's stiffness at the box corners
-are tamed.  The two factors are combined in one of two orders, chosen
-once per solve from the grid and the trap:
+(2017).  The projected gradient g is passed through the shifted inverse
+of a separable surrogate of the linear part of the Hamiltonian,
 
-    (V + sigma)^-1/2 P_D (V + sigma)^-1/2    if max V > max k^2,
-    P_D^1/2 (V + sigma)^-1 P_D^1/2           otherwise.
+    P = (T (+) T + sigma)^-1,    T = -d^2/dx^2 + c |x|^s on one axis,
 
-Neither order wins everywhere.  Trap-first took the quartic trap at
-n = 32, L = 8 (max V / max k^2 = 236) in 38 iterations against 344, and
-the harmonic beta = 1 solve at n = 256 (ratio 0.026) in 98 against 15.
-Measured, it won at every ratio above 2.2 and lost at every one below 1.
+with the spectral second derivative of the grid (Nyquist mode zeroed)
+and sigma = max(1, |E|).  T (+) T is the kinetic operator plus the trap
+c(|x|^s + |y|^s), which equals V = c |x|^s for s = 2 and lies within a
+factor 2^|s/2 - 1| of it otherwise, so P tames the Laplacian's and the
+trap's stiffness together.  It is applied exactly by fast
+diagonalization (Lynch, Rice & Thomas, "Direct solution of partial
+difference equations by tensor product methods", Numer. Math. 6 (1964)
+185-199): with T = Q diag(lambda) Q^T, computed once per grid and trap,
+
+    P g = Q (D o (Q^T g Q)) Q^T,    D_ij = 1 / (lambda_i + lambda_j + sigma),
+
+four real matrix products per component and no transform.  P is
+symmetric and positive definite.  Against products of a kinetic factor
+(k^2 + sigma)^-1 and a trap factor (V + sigma)^-1, the quartic trap at
+n = 64, L = 8 takes 17 iterations instead of 55, and the |x|^6 trap at
+n = 128, which stalled with them, converges.
 
 The direction d = proj(P g) is combined with the previous direction,
 
@@ -58,15 +65,17 @@ density band-limited to the coarse grid, such as that of a prolonged
 state, the fine convolution reads only that band: the coarse energy of a
 smooth state is the fine energy of its prolongation to 1e-13 relative,
 so the prolonged coarse minimizer mostly meets the fine tolerance as it
-is.  The harmonic reference solve at n = 256 spends 18, 0 and 0
-iterations on n = 64, 128 and 256, against 17 on n = 256 alone; with
-kernels point-sampled on each coarse grid, which cannot resolve R < h,
-it spent 18, 11 and 6.
+is.  The harmonic reference solve at n = 256 spends 14, 0 and 0
+iterations on n = 64, 128 and 256, as many as on n = 256 alone, so the
+whole solve runs on the coarsest grid; with kernels point-sampled on
+each coarse grid, which cannot resolve R < h, it spent 18, 11 and 6
+(with the product preconditioner).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +89,7 @@ from .functional import (
     energy_and_gradient,
     sphere_project,
 )
-from .kernels import KernelSet, kernels_for, restrict, trap_values
+from .kernels import KernelSet, TrapPotential, kernels_for, restrict
 
 BOUNDARY_MASS_WARN = 1e-8
 MAX_BACKTRACKS = 60
@@ -88,6 +97,8 @@ STEP0 = 0.1  # the first line search's trial step
 BACKTRACK_SHRINK = 0.5
 ARMIJO_C = 1e-4
 PERTURBATION = 0.1  # amplitude of the ``random`` init's plane waves
+# amplitude of the wave packet that breaks the Gaussian starts' symmetry
+SYMMETRY_SEED = 1e-10
 # a cold solve with n >= 2 COARSEST_N starts on coarser grids, down to this one
 COARSEST_N = 64
 
@@ -125,14 +136,28 @@ class SolveResult:
 def initial_state(
     spec: GridSpec, cfg: SolverConfig, warm: WaveFunction | None = None
 ) -> WaveFunction:
+    """The normalized start of a solve.
+
+    The Gaussian starts are invariant, up to a phase, under the grid's
+    reflections and quarter turns, and so is every iterate of a descent from them in exact
+    arithmetic, which can then only reach a symmetric critical point: at
+    beta = 4, R = 0.5, n = 64 that is a saddle at E = 4.5239, 15% above the
+    3.9176 minimum.  Round-off alone lets the descent leave such a saddle
+    only by chance, so both carry SYMMETRY_SEED times an off-centre
+    Gaussian wave packet, which no symmetry of the grid maps to itself.  A
+    descent that lingers near the saddle amplifies it until it leaves; one
+    that converges onto a saddle within a few iterations still stops there.
+    """
     if warm is not None:
         return warm.normalized()
     if cfg.init == "from_file":
         raise ConfigurationError("init 'from_file' requires a warm-start state")
-    if cfg.init == "gaussian":
-        return gaussian_state(spec)
-    if cfg.init == "gaussian_vortex":
-        return gaussian_state(spec, vortex=True)
+    if cfg.init != "random":
+        base = gaussian_state(spec, vortex=cfg.init == "gaussian_vortex")
+        x, y = spec.meshgrid()
+        # a closed form, not random waves: numpy.random adds 5 MB to a process
+        packet = np.exp(1j * (0.7 * x + 0.3 * y) - ((x - 0.3) ** 2 + (y - 0.5) ** 2) / 2.0)
+        return WaveFunction(spec, base.values + SYMMETRY_SEED * packet).normalized()
     # seeded random perturbation of the gaussian
     rng = np.random.default_rng(cfg.seed)
     base = gaussian_state(spec)
@@ -146,26 +171,45 @@ def initial_state(
     return WaveFunction(spec, vals).normalized()
 
 
-def _precondition(
-    g: np.ndarray, k2: np.ndarray, V: np.ndarray, sigma: float, trap_first: bool
-) -> np.ndarray:
-    """P g for a symmetric combination of P_D = (k^2 + sigma)^-1 and (V + sigma)^-1.
+@lru_cache(maxsize=8)
+def _axis_eigenpairs(spec: GridSpec, trap: TrapPotential) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs (lambda, Q) of the 1-D operator T = -d^2/dx^2 + c |x|^s on ``spec``'s axis.
 
-    With ``trap_first`` P = (V + sigma)^-1/2 P_D (V + sigma)^-1/2, one
-    transform pair; otherwise P = P_D^1/2 (V + sigma)^-1 P_D^1/2, two pairs.
-    Both are symmetric and positive definite.  The solver takes the trap
-    outermost when the trap is the stiffer operator on the grid,
-    max V > max k^2 (see the module docstring).
+    The second derivative is the spectral one with the Nyquist mode zeroed,
+    the circulant matrix of the k^2 of ``GridSpec.wavenumbers``.  Read-only,
+    since every solve on the grid and trap shares them.
     """
-    if trap_first:
-        s = 1.0 / np.sqrt(V + sigma)
-        h = np.fft.ifft2(np.fft.fft2(s * g) / (k2 + sigma))
-        h *= s
-        return h
-    s = 1.0 / np.sqrt(k2 + sigma)
-    h = np.fft.ifft2(s * np.fft.fft2(g))
-    h /= V + sigma
-    return np.fft.ifft2(s * np.fft.fft2(h))
+    n = spec.n
+    kx, _ = spec.wavenumbers()
+    row = np.fft.ifft(kx[0] ** 2).real
+    idx = np.arange(n)
+    T = row[(idx[:, np.newaxis] - idx) % n]
+    T[idx, idx] += trap.c * np.abs(spec.axis()) ** trap.s
+    lam, Q = np.linalg.eigh(T)
+    lam.flags.writeable = False
+    Q.flags.writeable = False
+    return lam, Q
+
+
+def _precondition(
+    g: np.ndarray, spec: GridSpec, trap: TrapPotential, sigma: float
+) -> np.ndarray:
+    """P g = (T (+) T + sigma)^-1 g by fast diagonalization (see the module docstring).
+
+    T's eigenpairs are computed on the first call for the grid and trap, so
+    a level that starts converged pays for no ``eigh``.  The real and
+    imaginary parts pass through real matrix products: a complex product
+    with the real Q would cost four times the flops.
+    """
+    lam, Q = _axis_eigenpairs(spec, trap)
+    parts = np.stack((g.real, g.imag))
+    h = Q.T @ parts @ Q
+    h /= lam[:, np.newaxis] + lam + sigma
+    h = Q @ h @ Q.T
+    out = np.empty(g.shape, dtype=complex)
+    out.real = h[0]
+    out.imag = h[1]
+    return out
 
 
 def _cg_direction(
@@ -299,12 +343,6 @@ def _minimize_level(
             f"initial boundary density {u.boundary_mass():.3e} exceeds "
             f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
         )
-    kx, ky = spec.wavenumbers()
-    k2 = kx**2 + ky**2
-    V = trap_values(spec, params.trap)
-    # chosen once per solve: the stiffer operator's factor goes outside
-    trap_first = float(V.max()) > float(k2.max())
-
     # explicit fields, so none are left on u, which may be a caller's state
     bd, G = energy_and_gradient(StateFields(u, kernels), params)
     if not np.isfinite(bd.total):
@@ -337,7 +375,7 @@ def _minimize_level(
             break
 
         sigma = max(1.0, abs(bd.total))
-        d = sphere_project(spec, _precondition(pg, k2, V, sigma, trap_first), u)
+        d = sphere_project(spec, _precondition(pg, spec, params.trap, sigma), u)
         gd = inner(spec, pg, d).real
         p, slope = _cg_direction(spec, u, G, pg, d, prev)
         prev = None  # release g_prev and p_prev before the line search

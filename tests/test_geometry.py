@@ -211,6 +211,13 @@ def test_circumradius_at_least_half_longest_edge():
 REGIMES = ("mixed", "all_long", "all_short", "two_short", "one_short")
 
 
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_triangles_reject_negative_radius(regime):
+    # 'two_short' and 'one_short' used to draw rounds forever: no edge is <= R
+    with pytest.raises(DomainError, match="R >= 0"):
+        regime_triangles(np.random.default_rng(0), 10, -0.3, regime)
+
+
 def convex_profile(r):
     return np.exp(r**2 / 2.0)
 
