@@ -11,22 +11,14 @@ from .errors import (
     SolverStalledError,
 )
 from .grid import GridSpec, WaveFunction, gaussian_state
-from .kernels import (
-    HARMONIC,
-    SmearedCoulomb,
-    TrapPotential,
-    alpha_of,
-    eta0,
-    lp_norm_grad_w,
-)
-from .functional import EnergyBreakdown, FunctionalParams, energy, energy_alt, gradient
+from .kernels import SmearedCoulomb, TrapPotential, eta0, lp_norm_grad_w
+from .functional import EnergyBreakdown, FunctionalParams, energy, gradient
 from .solver import SolverConfig, SolveResult, minimize, sweep
 from .manybody import (
     ManyBodyBreakdown,
     ManyBodyParams,
     mixed_term_crosscheck,
     product_state_energy,
-    upper_bound_report,
 )
 from .geometry import Triangle, circumradius_bounds, counterexample_probe, cyclic_sum, verify_sandwich
 from .stateio import load_state, save_state
@@ -41,16 +33,13 @@ __all__ = [
     "GridSpec",
     "WaveFunction",
     "gaussian_state",
-    "HARMONIC",
     "SmearedCoulomb",
     "TrapPotential",
-    "alpha_of",
     "eta0",
     "lp_norm_grad_w",
     "EnergyBreakdown",
     "FunctionalParams",
     "energy",
-    "energy_alt",
     "gradient",
     "SolverConfig",
     "SolveResult",
@@ -60,7 +49,6 @@ __all__ = [
     "ManyBodyParams",
     "mixed_term_crosscheck",
     "product_state_energy",
-    "upper_bound_report",
     "Triangle",
     "circumradius_bounds",
     "counterexample_probe",

@@ -49,7 +49,3 @@ def curl_A(spec: GridSpec, A: np.ndarray) -> np.ndarray:
     kx, ky = spec.wavenumbers()
     return np.fft.ifft2(1j * (kx * np.fft.fft2(A[1]) - ky * np.fft.fft2(A[0]))).real
 
-
-def divergence(spec: GridSpec, A: np.ndarray) -> np.ndarray:
-    kx, ky = spec.wavenumbers()
-    return np.fft.ifft2(1j * (kx * np.fft.fft2(A[0]) + ky * np.fft.fft2(A[1]))).real

@@ -1,4 +1,4 @@
-"""Average-field energy: term breakdown, alternative form, constrained gradient.
+"""Average-field energy: term breakdown and constrained gradient.
 
 The energy of a state u with coupling beta and smearing radius R is
 
@@ -13,18 +13,19 @@ its sign and normalization are pinned by the finite-difference contract
 exercised in the tests rather than trusted.
 
 Every evaluation (``energy``, ``energy_and_gradient``, ``gradient``,
-``energy_alt``, ``magnetic_field`` and the product-state terms and
-cross-check in ``manybody``) reads the density, spectral derivatives,
-phase current and vector potential of a state from one ``StateFields``,
-which computes each of them at most once.  ``state_fields`` keeps it on
-the (immutable) state, keyed by the identity of its ``KernelSet``, so
-later calls on the state reuse it: after ``energy`` the gradient adds
-only its own transforms and the product-state energy one padded inverse.
-Other kernels replace it, and it is freed with the state.  ``energy``,
-``energy_and_gradient`` and ``gradient`` also accept a ``StateFields``;
-the solver's start (possibly a caller's warm start) and
-``verify.evaluated`` (whose result keeps every state) pass one, so they
-pin no fields on states they do not own.
+the product-state terms and cross-check in ``manybody`` and the
+polar-form cross-check in ``verify``) reads the density, spectral
+derivatives, phase current and vector potential of a state from one
+``StateFields``, which computes each of them at most once.
+``state_fields`` keeps it on the (immutable) state, keyed by the
+identity of its ``KernelSet``, so later calls on the state reuse it:
+after ``energy`` the gradient adds only its own transforms and the
+product-state energy one padded inverse.  Other kernels replace it, and
+it is freed with the state.  ``energy``, ``energy_and_gradient`` and
+``gradient`` also accept a ``StateFields``; the solver's start
+(possibly a caller's warm start) and ``verify.evaluated`` (whose result
+keeps every state) pass one, so they pin no fields on states they do
+not own.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import curl_A, vector_potential_of_spectrum
+from .fields import vector_potential_of_spectrum
 from .grid import (
     GridSpec,
     WaveFunction,
@@ -42,12 +43,8 @@ from .grid import (
     integrate,
     padded_irfft,
     padded_rfft,
-    spectral_gradient,
 )
 from .kernels import KernelSet, TrapPotential, kernels_for, trap_values
-
-# Nodes with |u| below this are treated as zeros of u in energy_alt.
-ZERO_NODE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -237,73 +234,7 @@ def gradient(
     return energy_and_gradient(u, params, kernels)[1]
 
 
-@dataclass(frozen=True)
-class AltEnergyResult:
-    value: float
-    zero_nodes: int
-    flagged: bool
-
-
-def energy_alt(
-    u: WaveFunction,
-    params: FunctionalParams,
-    kernels: KernelSet | None = None,
-) -> AltEnergyResult:
-    """Polar-decomposed form of the energy.
-
-    int |grad|u||^2 + int |Im(conj(u)/|u|) grad u + beta A |u||^2 + int V rho.
-
-    At nodes where |u| < ZERO_NODE_TOL the second integrand is replaced by
-    its |u| -> 0 limit beta^2 rho |A|^2 and the result is flagged.
-    """
-    spec = u.grid
-    fields = state_fields(u, params.R, kernels)
-    rho = fields.rho
-    absu = np.sqrt(rho)
-    ax_, ay_ = spectral_gradient(spec, absu)
-    kin_abs = float(integrate(spec, np.abs(ax_) ** 2 + np.abs(ay_) ** 2))
-    potential = float(integrate(spec, trap_values(spec, params.trap) * rho))
-
-    A = fields.A
-    J = fields.J
-    zero = absu < ZERO_NODE_TOL
-    n_zero = int(zero.sum())
-    safe = np.where(zero, 1.0, absu)
-    # Im(conj(u)/|u|) grad u = J / |u| componentwise
-    tx = J[0] / safe + params.beta * A[0] * absu
-    ty = J[1] / safe + params.beta * A[1] * absu
-    term = tx**2 + ty**2
-    limit = params.beta**2 * rho * (A[0] ** 2 + A[1] ** 2)
-    term = np.where(zero, limit, term)
-    second = float(integrate(spec, term))
-    return AltEnergyResult(
-        value=kin_abs + second + potential,
-        zero_nodes=n_zero,
-        flagged=n_zero > 0,
-    )
-
-
 def sphere_project(spec: GridSpec, g: np.ndarray, u: WaveFunction) -> np.ndarray:
     """Tangent-space projection g - Re<u, g> u for normalized u."""
     coef = inner(spec, u.values, g).real
     return g - coef * u.values
-
-
-def magnetic_field(u: WaveFunction, params: FunctionalParams,
-                   kernels: KernelSet | None = None) -> np.ndarray:
-    """curl(beta A^R[rho]), the self-generated magnetic field diagnostic."""
-    return params.beta * curl_A(u.grid, state_fields(u, params.R, kernels).A)
-
-
-def winding_number(u: WaveFunction, radius: float | None = None) -> int:
-    """Phase winding of u around a centered circle (diagnostic only)."""
-    spec = u.grid
-    if radius is None:
-        radius = 0.5 * spec.half_width
-    theta = np.linspace(0.0, 2.0 * np.pi, 256, endpoint=False)
-    i = np.clip(((radius * np.cos(theta) + spec.half_width) / spec.h).astype(int), 0, spec.n - 1)
-    j = np.clip(((radius * np.sin(theta) + spec.half_width) / spec.h).astype(int), 0, spec.n - 1)
-    ph = np.angle(u.values[j, i])
-    dph = np.diff(np.concatenate([ph, ph[:1]]))
-    dph = (dph + np.pi) % (2.0 * np.pi) - np.pi
-    return int(np.round(dph.sum() / (2.0 * np.pi)))

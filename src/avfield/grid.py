@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -124,23 +124,18 @@ def padded_irfft(spec: GridSpec, fh: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.ifft(fh, axis=0)[:n], n=2 * n, axis=1)[:, :n]
 
 
-def convolve(spec: GridSpec, f: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     """Linear convolution h^2 * (kernel * f) restricted to the primary box.
 
-    ``kernel`` is either the centered 2n x 2n sample array or its
-    precomputed rfft2 (as returned by ``kernel_fft``).
+    ``kernel_hat`` is the kernel's padded spectrum, as ``kernel_fft`` returns it.
     """
     n = spec.n
-    m = 2 * n
-    if kernel.shape == (m, m):
-        kh = kernel_fft(spec, kernel)
-    elif kernel.shape == (m, n + 1):
-        kh = kernel
-    else:
+    if kernel_hat.shape != (2 * n, n + 1):
         raise ConfigurationError(
-            f"kernel shape {kernel.shape} does not match padded grid ({m}, {m})"
+            f"kernel spectrum shape {kernel_hat.shape} does not match padded grid "
+            f"({2 * n}, {n + 1})"
         )
-    return padded_irfft(spec, padded_rfft(spec, f) * kh) * spec.h**2
+    return padded_irfft(spec, padded_rfft(spec, f) * kernel_hat) * spec.h**2
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,8 @@ class WaveFunction:
 
     ``values`` is a read-only view of the samples (the caller's array
     stays writable), so the mass and the fields that
-    ``functional.state_fields`` keeps on the state cannot go stale.
+    ``functional.state_fields`` keeps on the state cannot go stale.  A NaN
+    or infinite sample raises ``DomainError``.
     """
 
     grid: GridSpec
@@ -161,6 +157,8 @@ class WaveFunction:
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
         values = np.asarray(self.values, dtype=complex).view()
+        if not np.isfinite(values).all():
+            raise DomainError("field holds non-finite samples")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
 

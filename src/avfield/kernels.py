@@ -97,13 +97,6 @@ def eta0(s: float) -> float:
     return 0.25 / (1.0 + 1.0 / s)
 
 
-def alpha_of(beta: float, N: int) -> float:
-    """Per-pair coupling beta/(N-1)."""
-    if N < 2:
-        raise DomainError(f"need at least two particles, got N={N}")
-    return beta / (N - 1)
-
-
 @dataclass(frozen=True)
 class TrapPotential:
     """Power-law trap V(x) = c |x|^s with c > 0, s > 0."""
@@ -119,9 +112,6 @@ class TrapPotential:
         x, y = spec.meshgrid()
         r = np.hypot(x, y)
         return self.c * r**self.s
-
-
-HARMONIC = TrapPotential(c=1.0, s=2.0)
 
 
 @lru_cache(maxsize=8)

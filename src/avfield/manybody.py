@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .functional import FunctionalParams, StateFields, evaluate, state_fields
-from .grid import GridSpec, WaveFunction, convolve, integrate, padded_irfft
-from .kernels import KernelSet, TrapPotential
-from .solver import SolveResult, SolverConfig, minimize
+from .grid import WaveFunction, convolve, integrate, padded_irfft
+from .kernels import TrapPotential
 
 
 @dataclass(frozen=True)
@@ -62,13 +61,6 @@ def _pair_term(fields: StateFields) -> float:
         raise DomainError("pair dispersion requires R > 0")
     conv = padded_irfft(spec, fields.rho_hat * fields.kernels.grad_w_sq_fft) * spec.h**2
     return float(integrate(spec, conv * fields.rho))
-
-
-def pair_dispersion(
-    u: WaveFunction, R: float, kernels: KernelSet | None = None
-) -> float:
-    """int (|grad w_R|^2 * rho) rho, the N-independent singular-term factor."""
-    return _pair_term(state_fields(u, R, kernels))
 
 
 def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBreakdown:
@@ -110,42 +102,3 @@ def mixed_term_crosscheck(u: WaveFunction, R: float) -> tuple[float, float]:
     route_b = 2.0 * float(integrate(spec, A[0] * J[0] + A[1] * J[1]))
     return route_a, route_b
 
-
-@dataclass
-class UpperBoundReport:
-    params: ManyBodyParams
-    af_energy: float
-    per_particle: float
-    gap: float
-    breakdown: ManyBodyBreakdown
-    solve: SolveResult
-
-
-def upper_bound_report(
-    params: ManyBodyParams,
-    spec: GridSpec,
-    cfg: SolverConfig = SolverConfig(),
-) -> UpperBoundReport:
-    """Variational upper bound on the per-particle ground energy.
-
-    Minimizes the mean-field functional, evaluates the product state at
-    the minimizer, and reports both values with their gap.  The gap is
-    non-negative up to round-off and shrinks like 1/(N-1) at fixed R.
-    """
-    fp = FunctionalParams(beta=params.beta, R=params.R, trap=params.trap)
-    res = minimize(fp, spec, cfg)
-    bd = product_state_energy(res.u, params)
-    af = res.breakdown.total
-    gap = bd.per_particle_total - af
-    if gap < -1e-10 * max(1.0, abs(af)):
-        raise DomainError(
-            f"product-state energy fell below the mean-field value by {-gap:.3e}"
-        )
-    return UpperBoundReport(
-        params=params,
-        af_energy=af,
-        per_particle=bd.per_particle_total,
-        gap=gap,
-        breakdown=bd,
-        solve=res,
-    )

@@ -338,9 +338,10 @@ def _minimize_level(
 ) -> SolveResult:
     """Minimize on one grid from the normalized state ``u``."""
     warnings: list[str] = []
-    if u.boundary_mass() > BOUNDARY_MASS_WARN:
+    edge = u.boundary_mass()
+    if edge > BOUNDARY_MASS_WARN:
         warnings.append(
-            f"initial boundary density {u.boundary_mass():.3e} exceeds "
+            f"initial boundary density {edge:.3e} exceeds "
             f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
         )
     # explicit fields, so none are left on u, which may be a caller's state
@@ -448,9 +449,10 @@ def _minimize_level(
             f"not converged after {iterations} iterations: projected gradient "
             f"norm {grad_norm:.3e} (tol_grad {cfg.tol_grad:g})"
         )
-    if u.boundary_mass() > BOUNDARY_MASS_WARN:
+    edge = u.boundary_mass()
+    if edge > BOUNDARY_MASS_WARN:
         warnings.append(
-            f"final boundary density {u.boundary_mass():.3e} exceeds "
+            f"final boundary density {edge:.3e} exceeds "
             f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
         )
     return SolveResult(
@@ -459,7 +461,7 @@ def _minimize_level(
         iterations=iterations,
         converged=converged,
         grad_norm=grad_norm,
-        boundary_mass=u.boundary_mass(),
+        boundary_mass=edge,
         energy_history=history,
         warnings=warnings,
     )

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .grid import GridSpec, WaveFunction
 
 MAGIC = b"AFGS"
@@ -85,9 +85,6 @@ def load_state(
             f"{path}: payload holds {len(raw)} bytes, expected {count * 16}"
         )
     vals = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
-    if not np.isfinite(vals).all():
-        raise FormatError(f"{path}: payload holds non-finite samples")
-    vals = vals.reshape(header.n, header.n)
     spec = GridSpec(n=header.n, half_width=header.half_width)
     if expected is not None and (
         expected.n != spec.n or expected.half_width != spec.half_width
@@ -96,4 +93,8 @@ def load_state(
             f"{path}: grid {spec.n}x{spec.n} on [-{spec.half_width}, "
             f"{spec.half_width}) does not match the requested grid"
         )
-    return WaveFunction(spec, vals), header
+    try:
+        u = WaveFunction(spec, vals.reshape(spec.n, spec.n))
+    except DomainError as exc:
+        raise FormatError(f"{path}: payload holds non-finite samples") from exc
+    return u, header

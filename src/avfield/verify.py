@@ -11,18 +11,21 @@ attributes see every call.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .fields import curl_A, density
-from .functional import FunctionalParams, StateFields, energy
+from .functional import FunctionalParams, StateFields, energy, state_fields
 from .grid import GridSpec, WaveFunction, integrate, spectral_gradient
-from .kernels import SmearedCoulomb, TrapPotential, kernels_for, lp_norm_grad_w
+from .kernels import SmearedCoulomb, TrapPotential, kernels_for, lp_norm_grad_w, trap_values
 from .manybody import ManyBodyParams, mixed_term_crosscheck, product_state_energy
 
 # the grid of the state-based suites
 SUITE_GRID = GridSpec(n=64, half_width=8.0)
+# samples with |u| below this are nodes of u for ``energy_alt``
+ZERO_NODE_TOL = 1e-13
 
 
 def smooth_state(spec: GridSpec, rng: np.random.Generator) -> WaveFunction:
@@ -40,6 +43,35 @@ def abs_kinetic(u: WaveFunction) -> float:
     """int |grad |u||^2, the kinetic energy of the modulus."""
     gx, gy = spectral_gradient(u.grid, np.sqrt(density(u)))
     return float(integrate(u.grid, np.abs(gx) ** 2 + np.abs(gy) ** 2))
+
+
+@dataclass(frozen=True)
+class AltEnergyResult:
+    value: float
+    zero_nodes: int
+
+
+def energy_alt(u: WaveFunction, params: FunctionalParams) -> AltEnergyResult:
+    """The energy in polar form, a route to it independent of ``energy``.
+
+    int |grad|u||^2 + int |Im(conj(u)/|u|) grad u + beta A |u||^2 + int V rho.
+
+    At the ``zero_nodes`` samples where |u| < ZERO_NODE_TOL the second
+    integrand is replaced by its |u| -> 0 limit beta^2 rho |A|^2.
+    """
+    spec = u.grid
+    fields = state_fields(u, params.R)
+    rho, (ax, ay), (jx, jy) = fields.rho, fields.A, fields.J
+    absu = np.sqrt(rho)
+    zero = absu < ZERO_NODE_TOL
+    safe = np.where(zero, 1.0, absu)
+    # Im(conj(u)/|u|) grad u = J / |u| componentwise
+    tx = jx / safe + params.beta * ax * absu
+    ty = jy / safe + params.beta * ay * absu
+    term = np.where(zero, params.beta**2 * rho * (ax**2 + ay**2), tx**2 + ty**2)
+    potential = float(integrate(spec, trap_values(spec, params.trap) * rho))
+    value = abs_kinetic(u) + float(integrate(spec, term)) + potential
+    return AltEnergyResult(value=value, zero_nodes=int(zero.sum()))
 
 
 def _magnetic_lower_bound(fields: StateFields, p: FunctionalParams) -> float:

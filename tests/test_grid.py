@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from avfield.errors import ConfigurationError
+from avfield.errors import ConfigurationError, DomainError
 from avfield.grid import (
     GridSpec,
     WaveFunction,
@@ -87,7 +87,7 @@ def test_convolution_matches_direct_sum():
     a = spec.padded_axis()
     xx, yy = np.meshgrid(a, a, indexing="xy")
     kern = np.exp(-(xx**2 + yy**2))
-    got = convolve(spec, f, kern)
+    got = convolve(spec, f, kernel_fft(spec, kern))
     ax = spec.axis()
     want = np.zeros((16, 16))
     for iy in range(16):
@@ -109,20 +109,11 @@ def test_convolution_of_gaussians(spec):
     a = spec.padded_axis()
     xx, yy = np.meshgrid(a, a, indexing="xy")
     kern = np.exp(-(xx**2 + yy**2) / 2.0)
-    got = convolve(spec, f, kern)
+    got = convolve(spec, f, kernel_fft(spec, kern))
     want = np.pi * 2.0 / 3.0 * np.exp(-r2 / 3.0)
     assert np.allclose(got, want, atol=1e-10)
-
-
-def test_precomputed_kernel_fft_path(spec):
-    rng = np.random.default_rng(3)
-    f = rng.normal(size=(64, 64))
-    a = spec.padded_axis()
-    xx, yy = np.meshgrid(a, a, indexing="xy")
-    kern = np.exp(-(xx**2 + yy**2))
-    assert np.allclose(
-        convolve(spec, f, kern), convolve(spec, f, kernel_fft(spec, kern))
-    )
+    with pytest.raises(ConfigurationError):
+        convolve(spec, f, kern)  # the samples, not their padded spectrum
 
 
 def test_wavefunction_normalization(spec):
@@ -132,6 +123,16 @@ def test_wavefunction_normalization(spec):
         WaveFunction(spec, np.zeros((64, 64), dtype=complex)).normalized()
     with pytest.raises(ConfigurationError):
         WaveFunction(spec, np.zeros((32, 32), dtype=complex))
+
+
+def test_wavefunction_rejects_non_finite_samples(spec):
+    nan = np.ones((spec.n, spec.n), dtype=complex)
+    nan[3, 5] = np.nan
+    inf = np.ones((spec.n, spec.n), dtype=complex)
+    inf.imag[5, 3] = np.inf
+    for vals in (nan, inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            WaveFunction(spec, vals)
 
 
 def test_boundary_mass_decay(spec):

@@ -10,7 +10,6 @@ from avfield.grid import GridSpec, WaveFunction, inner
 from avfield.kernels import (
     SmearedCoulomb,
     TrapPotential,
-    alpha_of,
     eta0,
     kernels_for,
     lp_norm_grad_w,
@@ -107,12 +106,6 @@ def test_eta0_values():
     assert eta0(1e12) == pytest.approx(0.25, abs=1e-10)
     with pytest.raises(DomainError):
         eta0(0.0)
-
-
-def test_alpha_of():
-    assert alpha_of(3.0, 4) == pytest.approx(1.0)
-    with pytest.raises(DomainError):
-        alpha_of(1.0, 1)
 
 
 def test_trap_validation_and_values():

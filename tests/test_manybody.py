@@ -9,11 +9,8 @@ from avfield.kernels import TrapPotential, kernels_for
 from avfield.manybody import (
     ManyBodyParams,
     mixed_term_crosscheck,
-    pair_dispersion,
     product_state_energy,
-    upper_bound_report,
 )
-from avfield.solver import SolverConfig
 
 
 @pytest.fixture
@@ -58,7 +55,8 @@ def test_coefficients_are_exact(spec, trap):
     rho = density(u)
     A = vector_potential(spec, rho, kernels)
     quad = float(integrate(spec, rho * (A[0] ** 2 + A[1] ** 2)))
-    disp = pair_dispersion(u, R, kernels)
+    # the N = 2, beta = 1 singular term is the pair term itself
+    disp = product_state_energy(u, ManyBodyParams(N=2, beta=1.0, R=R, trap=trap)).singular
     for N in (2, 3, 17, 1000):
         bd = product_state_energy(u, ManyBodyParams(N=N, beta=beta, R=R, trap=trap))
         assert bd.three_body == pytest.approx(
@@ -94,7 +92,10 @@ def test_beta_zero_is_one_body_only(spec, trap):
 
 def test_pair_dispersion_grows_as_r_shrinks(spec, trap):
     u = gaussian_state(spec)
-    vals = [pair_dispersion(u, R) for R in (1.6, 0.8, 0.4)]
+    vals = [
+        product_state_energy(u, ManyBodyParams(N=2, beta=1.0, R=R, trap=trap)).singular
+        for R in (1.6, 0.8, 0.4)
+    ]
     assert vals == sorted(vals)
 
 
@@ -114,19 +115,3 @@ def test_mixed_crosscheck_real_and_conjugate(spec):
     assert ac == pytest.approx(-a, rel=1e-12)
     assert bc == pytest.approx(-b, rel=1e-12)
 
-
-def test_upper_bound_report(spec, trap):
-    cfg = SolverConfig(tol_grad=1e-4)
-    rep = upper_bound_report(ManyBodyParams(N=1000, beta=1.0, R=0.2, trap=trap), spec, cfg)
-    assert rep.gap > 0.0
-    assert rep.gap < 0.05 * rep.af_energy
-    assert rep.per_particle == pytest.approx(rep.af_energy + rep.gap)
-    few = upper_bound_report(ManyBodyParams(N=2, beta=1.0, R=0.2, trap=trap), spec, cfg)
-    assert few.gap > rep.gap  # per-particle penalty shrinks with N
-
-
-def test_upper_bound_gap_zero_without_interaction(spec, trap):
-    rep = upper_bound_report(
-        ManyBodyParams(N=100, beta=0.0, R=0.2, trap=trap), spec, SolverConfig()
-    )
-    assert rep.gap == 0.0
