@@ -20,7 +20,7 @@ from .manybody import (
     mixed_term_crosscheck,
     product_state_energy,
 )
-from .geometry import Triangle, circumradius_bounds, counterexample_probe, cyclic_sum, verify_sandwich
+from .geometry import counterexample_probe
 from .stateio import load_state, save_state
 
 __all__ = [
@@ -49,11 +49,7 @@ __all__ = [
     "ManyBodyParams",
     "mixed_term_crosscheck",
     "product_state_energy",
-    "Triangle",
-    "circumradius_bounds",
     "counterexample_probe",
-    "cyclic_sum",
-    "verify_sandwich",
     "load_state",
     "save_state",
     "__version__",

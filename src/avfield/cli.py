@@ -6,8 +6,9 @@ code.  Reports are JSON (nested summaries) or CSV (flat sweep tables).
 Every JSON report embeds the resolved configuration and the package
 version so a run can be reproduced from its artifacts alone.  Exit
 codes: 0 success, 1 configuration error (an argparse usage error too,
-such as ``verify --samples`` below 1), 2 numerical failure, 3 invariant
-violation found by verify, 4 a solve or a sweep row stopped unconverged.
+such as ``verify --samples`` below 1, and a file that cannot be read or
+written), 2 numerical failure, 3 invariant violation found by verify, 4 a
+solve or a sweep row stopped unconverged.
 An unconverged solve or sweep row is also reported on stderr (and in a
 solve report's ``warnings``), after its report, state and CSV are
 written.  A sweep row that raised a numerical failure makes the sweep
@@ -98,6 +99,8 @@ def cmd_solve(args) -> int:
     params = FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
     cfg = _solver_from_args(args)
     warm = None
+    if args.state_in and args.init != "from_file":
+        raise ConfigurationError("--state-in requires --init from_file")
     if args.init == "from_file":
         if not args.state_in:
             raise ConfigurationError("--init from_file requires --state-in")
@@ -282,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError, FormatError) as exc:
+    except (ConfigurationError, DomainError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericalFailureError, SolverStalledError) as exc:

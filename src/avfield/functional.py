@@ -117,10 +117,8 @@ class StateFields:
         return vector_potential_of_spectrum(self.spec, self.rho_hat, self.kernels)
 
 
-def state_fields(
-    u: WaveFunction | StateFields, R: float, kernels: KernelSet | None = None
-) -> StateFields:
-    """The fields of u under ``kernels`` (default ``kernels_for(u.grid, R)``).
+def state_fields(u: WaveFunction | StateFields, R: float) -> StateFields:
+    """The fields of u under ``kernels_for(u.grid, R)``.
 
     They are kept on u and returned again to every later call with the
     same ``KernelSet`` object; other kernels replace them.  A
@@ -128,8 +126,7 @@ def state_fields(
     """
     if isinstance(u, StateFields):
         return u
-    if kernels is None:
-        kernels = kernels_for(u.grid, R)
+    kernels = kernels_for(u.grid, R)
     memo = vars(u)  # the instance dict, as cached_property uses it
     fields = memo.get("_fields")
     if fields is None or fields.kernels is not kernels:
@@ -193,27 +190,22 @@ def evaluate(
     return bd, G
 
 
-def energy(
-    u: WaveFunction | StateFields,
-    params: FunctionalParams,
-    kernels: KernelSet | None = None,
-) -> EnergyBreakdown:
+def energy(u: WaveFunction | StateFields, params: FunctionalParams) -> EnergyBreakdown:
     """Term-by-term average-field energy of u (norm-agnostic).
 
     The fields it computes are kept on u (``state_fields``), so a later
-    call on u with the same kernels reuses them: a second ``energy``, at
-    any beta and trap, costs no transform.  ``u`` may be a
-    ``StateFields``; its cached quantities are reused and the ones the
-    energy computes are kept on it, and its own kernels are used in
-    place of ``kernels``.
+    call on u at the same R reuses them: a second ``energy``, at any
+    beta and trap, costs no transform.  ``u`` may be a ``StateFields``;
+    its cached quantities are reused, the ones the energy computes are
+    kept on it, and its own kernels are used in place of
+    ``kernels_for(u.grid, params.R)`` (this is how other kernels, such
+    as restricted ones, are passed).
     """
-    return evaluate(state_fields(u, params.R, kernels), params, with_gradient=False)[0]
+    return evaluate(state_fields(u, params.R), params, with_gradient=False)[0]
 
 
 def energy_and_gradient(
-    u: WaveFunction | StateFields,
-    params: FunctionalParams,
-    kernels: KernelSet | None = None,
+    u: WaveFunction | StateFields, params: FunctionalParams
 ) -> tuple[EnergyBreakdown, np.ndarray]:
     """Breakdown and first variation G of the energy; see ``evaluate``.
 
@@ -222,16 +214,12 @@ def energy_and_gradient(
     (one n x n at beta = 0) and returns what a fresh state would, bit for
     bit.
     """
-    return evaluate(state_fields(u, params.R, kernels), params, with_gradient=True)
+    return evaluate(state_fields(u, params.R), params, with_gradient=True)
 
 
-def gradient(
-    u: WaveFunction | StateFields,
-    params: FunctionalParams,
-    kernels: KernelSet | None = None,
-) -> np.ndarray:
+def gradient(u: WaveFunction | StateFields, params: FunctionalParams) -> np.ndarray:
     """First variation of the energy; see ``evaluate``."""
-    return energy_and_gradient(u, params, kernels)[1]
+    return energy_and_gradient(u, params)[1]
 
 
 def sphere_project(spec: GridSpec, g: np.ndarray, u: WaveFunction) -> np.ndarray:

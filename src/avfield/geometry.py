@@ -16,8 +16,7 @@ coordinates, in bulk, with targeted generators for every regime.
 Sums are evaluated from squared edge lengths: each edge vector is formed
 once, and since max(|v|, R)^2 = max(|v|^2, R^2) the R path takes no
 square root.  The naive sum cancels, so its round-off scales with
-(rho^2/area)^2 (see ``conditioning_ratio``).  The ``Triangle`` properties
-and the scalar checks are views over the batch functions.
+(rho^2/area)^2 (see ``conditioning_ratio``).
 
 The regime generators decide their edge tests from squared lengths too,
 comparing dx^2 + dy^2 with R^2; where the two lie within 1e-12 relative
@@ -41,38 +40,6 @@ from .errors import DomainError
 
 COLLINEAR_REL_TOL = 1e-14
 PROBE_CHUNK = 100_000  # triangles per probe draw; each chunk draws its own R
-
-
-@dataclass
-class Triangle:
-    """Three planar points with derived edge data.
-
-    The circumradius is infinite for collinear points; the associated
-    bounds then hold trivially and are flagged rather than rejected.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-    def __post_init__(self):
-        self.x, self.y, self.z = (np.asarray(p, dtype=float) for p in (self.x, self.y, self.z))
-
-    @property
-    def edges(self) -> tuple[float, float, float]:
-        """(|x-y|, |y-z|, |z-x|)."""
-        return tuple(float(e) for e in batch_edges(self.as_array()[np.newaxis])[0])
-
-    @property
-    def rho(self) -> float:
-        return float(np.sqrt(batch_rho_sq(self.as_array()[np.newaxis])[0]))
-
-    @property
-    def circumradius(self) -> float:
-        return float(batch_circumradius(self.as_array()[np.newaxis])[0])
-
-    def as_array(self) -> np.ndarray:
-        return np.stack([self.x, self.y, self.z], axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,50 +158,6 @@ def batch_cyclic_sum(
     return _cyclic_sum_and_rho_sq(tri, R, profile)[0]
 
 
-def cyclic_sum(t: Triangle, R: float) -> float:
-    """Scalar view of ``batch_cyclic_sum``."""
-    return float(batch_cyclic_sum(t.as_array()[np.newaxis], R)[0])
-
-
-@dataclass
-class SandwichReport:
-    lower_ok: bool
-    upper_ratio: float
-
-
-def verify_sandwich(t: Triangle, R: float) -> SandwichReport:
-    """Check non-negativity and measure the constant in the upper bound.
-
-    upper_ratio is cyclic_sum * rho^2, i.e. the numerator of the
-    three-term identity times rho^2 over the product of regularized
-    squared edges; its supremum over triangles is the measured constant.
-    """
-    tri = t.as_array()[np.newaxis]
-    s, rho_sq = _cyclic_sum_and_rho_sq(tri, R)
-    # no regularized edge is zero here: the sum raises first
-    scale = float((1.0 / np.maximum(batch_edges(tri), R) ** 2).sum())
-    return SandwichReport(bool(s[0] >= -1e-12 * max(scale, 1.0)), float(s[0] * rho_sq[0]))
-
-
-@dataclass
-class CircumradiusReport:
-    circumradius: float
-    rho: float
-    hardy_ok: bool  # 1/RR^2 <= 9/rho^2
-    half_edge_ok: bool  # RR >= max edge / 2
-    collinear: bool
-
-
-def circumradius_bounds(t: Triangle) -> CircumradiusReport:
-    rr, rho = t.circumradius, t.rho
-    if rho == 0.0:
-        raise DomainError("degenerate triangle: all points coincide")
-    collinear = np.isinf(rr)
-    hardy_ok = True if collinear else (1.0 / rr**2) <= 9.0 / rho**2 + 1e-12
-    half_edge_ok = rr >= max(t.edges) / 2.0 - 1e-12 * rho
-    return CircumradiusReport(rr, rho, hardy_ok, half_edge_ok, collinear)
-
-
 # ---------------------------------------------------------------------------
 # triangle generators (vertices in [-2, 2]^2, plus edge-regime targeting)
 
@@ -276,26 +199,12 @@ def compare_edge(
 
 
 def _rescale_to_max_edge(tri: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Scale each triangle about its centroid to the longest edge ``target``.
-
-    Only the longest edge, chosen by squared length, takes a hypot; all
-    three do where the top two squared lengths tie within SQUARED_BAND
-    or the longest lies below SQUARED_FLOOR.
-    """
+    """Scale each triangle about its centroid to the longest edge ``target``."""
     out = np.empty(tri.shape)
     rows = out.reshape(len(tri), 6).T
     for s in _chunks(len(tri)):
         x, y, z = np.moveaxis(tri[s], 0, -1)
-        edges = [_sub(x, y), _sub(y, z), _sub(z, x)]
-        sq = [_dot(d, d) for d in edges]
-        first = sq[0] >= sq[1]
-        top01 = np.maximum(sq[0], sq[1])
-        top = np.maximum(top01, sq[2])
-        second = np.maximum(np.minimum(sq[0], sq[1]), np.minimum(top01, sq[2]))
-        tie = np.flatnonzero((second >= top * (1.0 - SQUARED_BAND)) | (top < SQUARED_FLOOR))
-        longest = top01 >= sq[2]
-        e = np.hypot(*np.where(longest, np.where(first, edges[0], edges[1]), edges[2]))
-        e[tie] = np.max([np.hypot(d[0, tie], d[1, tie]) for d in edges], axis=0)
+        e = np.max([np.hypot(*_sub(p, q)) for p, q in ((x, y), (y, z), (z, x))], axis=0)
         centroid = (x + y + z) / 3.0
         factor = target[s] / np.maximum(e, 1e-300)
         for dst, p, c in zip(rows, (*x, *y, *z), (*centroid,) * 3):

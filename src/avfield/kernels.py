@@ -131,7 +131,6 @@ class KernelSet:
     The samples themselves are not kept; every convolution reads the FFTs.
     """
 
-    R: float
     grad_w_fft: tuple[np.ndarray, np.ndarray]
     grad_w_sq_fft: np.ndarray | None
 
@@ -145,7 +144,6 @@ def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
     g = SmearedCoulomb(R).grad_w(np.stack([x, y], axis=-1))
     gx, gy = g[..., 0], g[..., 1]
     return KernelSet(
-        R=R,
         grad_w_fft=(kernel_fft(spec, gx), kernel_fft(spec, gy)),
         grad_w_sq_fft=kernel_fft(spec, gx**2 + gy**2) if R > 0.0 else None,
     )
@@ -176,17 +174,12 @@ def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
 
     sq = kernels.grad_w_sq_fft
     return KernelSet(
-        R=kernels.R,
         grad_w_fft=(band(kernels.grad_w_fft[0]), band(kernels.grad_w_fft[1])),
         grad_w_sq_fft=None if sq is None else band(sq),
     )
 
 
 @lru_cache(maxsize=16)
-def _cached_kernels(spec: GridSpec, R: float) -> KernelSet:
-    return sample_kernels(spec, R)
-
-
 def kernels_for(spec: GridSpec, R: float) -> KernelSet:
     """Memoized ``sample_kernels``; KernelSets are immutable by convention."""
-    return _cached_kernels(spec, float(R))
+    return sample_kernels(spec, R)

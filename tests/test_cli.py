@@ -148,6 +148,29 @@ def test_from_file_without_state_in(capsys):
     assert run(["solve", "--beta", "0", "--init", "from_file"]) == EXIT_CONFIG
 
 
+def test_state_in_without_from_file(tmp_path, capsys):
+    # a warm-start file is read only by --init from_file; never drop it silently
+    state = tmp_path / "u.state"
+    save_state(state, gaussian_state(GridSpec(n=32, half_width=8.0)), beta=0.0, R=0.0)
+    assert run(["solve", "--beta", "0", "--grid", "32", "--state-in", str(state)]) == EXIT_CONFIG
+    assert "--state-in requires --init from_file" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["energy", "{missing}", "--N", "2"],
+        ["solve", "--beta", "0", "--grid", "32", "--init", "from_file", "--state-in", "{missing}"],
+        ["solve", "--beta", "0", "--grid", "32", "--out", "{missing}/report.json"],
+    ],
+    ids=["energy", "state-in", "out"],
+)
+def test_unreadable_or_unwritable_file_exits_config(tmp_path, capsys, argv):
+    missing = str(tmp_path / "missing")
+    assert run([a.format(missing=missing) for a in argv]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_sweep_command_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run(

@@ -9,84 +9,75 @@ from hypothesis import strategies as st
 from avfield import cli
 from avfield.errors import DomainError
 from avfield.geometry import (
-    Triangle,
     batch_area,
     batch_circumradius,
     batch_cyclic_sum,
     batch_edges,
     batch_rho_sq,
     _rescale_to_max_edge,
-    circumradius_bounds,
     compare_edge,
     conditioning_ratio,
     counterexample_probe,
-    cyclic_sum,
     random_triangles,
     regime_triangles,
-    verify_sandwich,
 )
 
-EQUILATERAL = Triangle([0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0])
+
+def one(x, y, z):
+    """A single triangle as a (1, 3, 2) batch."""
+    return np.array([[x, y, z]], dtype=float)
+
+
+EQUILATERAL = one([0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0])
 
 
 def test_equilateral_all_long():
     # side 1, R = 0.1: every edge is long, sum = 1/(2 RR^2) with RR = 3^{-1/2}
-    assert cyclic_sum(EQUILATERAL, 0.1) == pytest.approx(1.5, abs=1e-12)
+    assert batch_cyclic_sum(EQUILATERAL, 0.1)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_equilateral_all_short():
-    small = Triangle([0.0, 0.0], [0.1, 0.0], [0.05, 0.1 * np.sqrt(3.0) / 2.0])
+    small = one([0.0, 0.0], [0.1, 0.0], [0.05, 0.1 * np.sqrt(3.0) / 2.0])
     # rho^2 = 3 * 0.01, sum = rho^2 / (2 R^4) with R = 1
-    assert cyclic_sum(small, 1.0) == pytest.approx(0.015, abs=1e-12)
+    assert batch_cyclic_sum(small, 1.0)[0] == pytest.approx(0.015, abs=1e-12)
 
 
 def test_pair_collapse_regularized():
-    t = Triangle([0.3, 0.4], [0.3, 0.4], [1.0, 0.0])
-    val = cyclic_sum(t, 0.5)
+    val = batch_cyclic_sum(one([0.3, 0.4], [0.3, 0.4], [1.0, 0.0]), 0.5)[0]
     assert np.isfinite(val)
     assert val >= 0.0
 
 
 def test_coincident_points_at_zero_radius():
-    t = Triangle([0.0, 0.0], [0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DomainError):
-        cyclic_sum(t, 0.0)
+        batch_cyclic_sum(one([0.0, 0.0], [0.0, 0.0], [1.0, 0.0]), 0.0)
     with pytest.raises(DomainError):
-        cyclic_sum(EQUILATERAL, -0.1)
+        batch_cyclic_sum(EQUILATERAL, -0.1)
 
 
 def test_circumradius_examples():
-    rep = circumradius_bounds(EQUILATERAL)
-    # sharp case: 1/RR^2 = 3 = 9/rho^2
-    assert 1.0 / rep.circumradius**2 == pytest.approx(3.0, abs=1e-12)
-    assert 9.0 / rep.rho**2 == pytest.approx(3.0, abs=1e-12)
-    assert rep.hardy_ok and rep.half_edge_ok and not rep.collinear
-
-    right = Triangle([0.0, 0.0], [1.0, 0.0], [0.0, 1.0])
-    rep = circumradius_bounds(right)
-    assert rep.circumradius == pytest.approx(np.sqrt(2.0) / 2.0)
-    assert rep.rho**2 == pytest.approx(4.0)
-    assert rep.hardy_ok and rep.half_edge_ok
+    for t, rr_want, rho_sq_want in [
+        (EQUILATERAL, 1.0 / np.sqrt(3.0), 3.0),  # sharp: 1/RR^2 = 3 = 9/rho^2
+        (one([0.0, 0.0], [1.0, 0.0], [0.0, 1.0]), np.sqrt(2.0) / 2.0, 4.0),  # right
+    ]:
+        rr, rho_sq = batch_circumradius(t)[0], batch_rho_sq(t)[0]
+        assert rr == pytest.approx(rr_want, abs=1e-12)
+        assert rho_sq == pytest.approx(rho_sq_want, abs=1e-12)
+        assert 1.0 / rr**2 <= 9.0 / rho_sq + 1e-12
+        assert rr >= batch_edges(t).max() / 2.0 - 1e-12
 
 
 def test_collinear_flagged_not_rejected():
-    t = Triangle([0.0, 0.0], [1.0, 0.0], [2.0, 0.0])
-    rep = circumradius_bounds(t)
-    assert rep.collinear
-    assert np.isinf(rep.circumradius)
-    assert rep.hardy_ok
-
-
-def test_degenerate_triangle_rejected():
-    t = Triangle([0.1, 0.1], [0.1, 0.1], [0.1, 0.1])
-    with pytest.raises(DomainError):
-        circumradius_bounds(t)
+    t = one([0.0, 0.0], [1.0, 0.0], [2.0, 0.0])
+    rr = batch_circumradius(t)[0]
+    assert np.isinf(rr)
+    assert 1.0 / rr**2 == 0.0  # the bound 1/RR^2 <= 9/rho^2 holds trivially
 
 
 def test_verify_sandwich_equilateral():
-    rep = verify_sandwich(EQUILATERAL, 0.1)
-    assert rep.lower_ok
-    assert rep.upper_ratio == pytest.approx(4.5, abs=1e-12)  # the sharp value
+    s = batch_cyclic_sum(EQUILATERAL, 0.1)[0]
+    assert s >= 0.0
+    assert s * batch_rho_sq(EQUILATERAL)[0] == pytest.approx(4.5, abs=1e-12)  # the sharp value
 
 
 coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -102,17 +93,15 @@ coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 )
 @settings(max_examples=200, deadline=None)
 def test_euclidean_and_relabeling_invariance(p, q, r, R, angle, shift):
-    t = Triangle(p, q, r)
-    base = cyclic_sum(t, R)
+    t = one(p, q, r)
+    base = batch_cyclic_sum(t, R)[0]
     assert base >= -1e-10 * (1.0 + 1.0 / R**4)
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
-    moved = Triangle(
-        rot @ t.x + shift, rot @ t.y + shift, rot @ t.z + shift
-    )
-    assert cyclic_sum(moved, R) == pytest.approx(base, rel=1e-9, abs=1e-9)
-    relabeled = Triangle(t.z, t.x, t.y)
-    assert cyclic_sum(relabeled, R) == pytest.approx(base, rel=1e-12, abs=1e-12)
+    moved = t @ rot.T + np.asarray(shift)
+    assert batch_cyclic_sum(moved, R)[0] == pytest.approx(base, rel=1e-9, abs=1e-9)
+    relabeled = t[:, [2, 0, 1]]
+    assert batch_cyclic_sum(relabeled, R)[0] == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
 def test_all_long_closed_form():
@@ -193,8 +182,8 @@ def test_probe_deterministic():
 
 
 def test_triangle_rho_zero_iff_coincident():
-    assert Triangle([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]).rho == 0.0
-    assert EQUILATERAL.rho > 0.0
+    assert batch_rho_sq(one([1.0, 2.0], [1.0, 2.0], [1.0, 2.0]))[0] == 0.0
+    assert batch_rho_sq(EQUILATERAL)[0] > 0.0
 
 
 def test_circumradius_at_least_half_longest_edge():
@@ -271,24 +260,10 @@ def test_circumradius_infinite_on_collinear_triangles():
 
 
 def test_collinearity_uses_longest_squared_edge():
-    # area 3e-14 lies between 1e-14 * max(ab, bc, ca) = 2e-14, the rule the
-    # scalar circumradius used before it became a view, and
-    # 1e-14 * max(edge)^2 = 4e-14, the batch rule both now share
-    t = Triangle([0.0, 0.0], [1.0, 0.0], [2.0, 6e-14])
-    assert np.isinf(t.circumradius)
-    assert circumradius_bounds(t).collinear
-
-
-def test_triangle_properties_are_batch_views():
-    tri = random_triangles(np.random.default_rng(24), 50)
-    for row, e, rho_sq, rr in zip(
-        tri, batch_edges(tri), batch_rho_sq(tri), batch_circumradius(tri)
-    ):
-        t = Triangle(*row)
-        assert t.edges == tuple(e)
-        assert t.rho == np.sqrt(rho_sq)
-        assert t.circumradius == rr
-        assert cyclic_sum(t, 0.2) == batch_cyclic_sum(row[np.newaxis], 0.2)[0]
+    # area 3e-14 lies between 1e-14 * max(ab, bc, ca) = 2e-14, a rule from
+    # products of two edge lengths, and 1e-14 * max(edge)^2 = 4e-14, the
+    # rule batch_circumradius applies
+    assert np.isinf(batch_circumradius(one([0.0, 0.0], [1.0, 0.0], [2.0, 6e-14]))[0])
 
 
 def test_batch_domain_errors():

@@ -161,12 +161,12 @@ def test_gradient_contract_with_restricted_kernels():
     u = smooth_state(COARSE, rng)
     params = FunctionalParams(beta=0.9, R=0.15, trap=TrapPotential())
     kernels = restrict(kernels_for(FINE, params.R), FINE, COARSE)
-    G = gradient(u, params, kernels)
+    G = gradient(StateFields(u, kernels), params)
     v = smooth_state(COARSE, rng).values
     eps = 1e-5
 
     def e_at(t):
-        return energy(WaveFunction(COARSE, u.values + t * v), params, kernels).total
+        return energy(StateFields(WaveFunction(COARSE, u.values + t * v), kernels), params).total
 
     fd = (e_at(eps) - e_at(-eps)) / (2.0 * eps)
     assert fd == pytest.approx(2.0 * inner(COARSE, v, G).real, rel=1e-6)
