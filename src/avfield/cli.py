@@ -66,6 +66,13 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _check_output_dirs(*paths: str | None) -> None:
+    """Refuse, before any work is done, an output path whose directory is missing."""
+    for path in filter(None, paths):
+        if not Path(path).parent.is_dir():
+            raise ConfigurationError(f"cannot write {path}: its directory does not exist")
+
+
 def _grid_from_args(args) -> GridSpec:
     return GridSpec(n=args.grid, half_width=args.box)
 
@@ -95,6 +102,7 @@ def _resolved_config(args, extra: dict | None = None) -> dict:
 
 
 def cmd_solve(args) -> int:
+    _check_output_dirs(args.out, args.state_out, args.history_out)
     spec = _grid_from_args(args)
     params = FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
     cfg = _solver_from_args(args)
@@ -136,6 +144,7 @@ def cmd_sweep(args) -> int:
     values = [float(v) for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigurationError("sweep needs a non-empty --values list")
+    _check_output_dirs(args.out)
     spec = _grid_from_args(args)
     params = FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
     rows = sweep(args.axis, values, params, spec, _solver_from_args(args))

@@ -82,7 +82,8 @@ class StateFields:
     - ``J``: the phase current Im(conj(u) grad u), real by construction;
     - ``rho_hat``: the padded spectrum of rho = |u|^2, one pruned padded
       transform shared by A and any other convolution of rho;
-    - ``A``: A^R[rho] from ``rho_hat``, two pruned padded inverses.
+    - ``A``: A^R[rho] from ``rho_hat``, two pruned padded inverses;
+    - ``kinetic``, ``A_dot_J``, ``rho_A2``: int |grad u|^2, int A.J, int rho |A|^2.
 
     The density rho = |u|^2 is formed on construction, unless the caller
     passes it in because it already has it.
@@ -115,6 +116,20 @@ class StateFields:
     @cached_property
     def A(self) -> np.ndarray:
         return vector_potential_of_spectrum(self.spec, self.rho_hat, self.kernels)
+
+    @cached_property
+    def kinetic(self) -> float:
+        # by Parseval, without an inverse transform
+        spec, (kx, ky) = self.spec, self.spec.wavenumbers()
+        return float(((kx**2 + ky**2) * np.abs(self.spectrum) ** 2).sum()) * spec.h**2 / spec.n**2
+
+    @cached_property
+    def A_dot_J(self) -> float:
+        return float(integrate(self.spec, self.A[0] * self.J[0] + self.A[1] * self.J[1]))
+
+    @cached_property
+    def rho_A2(self) -> float:
+        return float(integrate(self.spec, self.rho * (self.A[0] ** 2 + self.A[1] ** 2)))
 
 
 def state_fields(u: WaveFunction | StateFields, R: float) -> StateFields:
@@ -152,24 +167,20 @@ def evaluate(
     V = trap_values(spec, params.trap)
     kx, ky = spec.wavenumbers()
     k2 = kx**2 + ky**2
-    # int |grad u|^2 by Parseval, without an inverse transform
-    kinetic = float((k2 * np.abs(fields.spectrum) ** 2).sum()) * spec.h**2 / spec.n**2
     potential = float(integrate(spec, V * rho))
     beta = params.beta
     if beta == 0.0:
-        bd = EnergyBreakdown(kinetic, 0.0, 0.0, potential)
+        bd = EnergyBreakdown(fields.kinetic, 0.0, 0.0, potential)
         if not with_gradient:
             return bd, None
         return bd, np.fft.ifft2(k2 * fields.spectrum) + V * v
 
-    ax, ay = fields.A
-    jx, jy = fields.J
-    a2 = ax**2 + ay**2
-    mixed = 2.0 * beta * float(integrate(spec, ax * jx + ay * jy))
-    quartic = beta**2 * float(integrate(spec, rho * a2))
-    bd = EnergyBreakdown(kinetic, mixed, quartic, potential)
+    mixed = 2.0 * beta * fields.A_dot_J
+    quartic = beta**2 * fields.rho_A2
+    bd = EnergyBreakdown(fields.kinetic, mixed, quartic, potential)
     if not with_gradient:
         return bd, None
+    (ax, ay), (jx, jy) = fields.A, fields.J
 
     # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))
     # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint
@@ -186,7 +197,7 @@ def evaluate(
     W = (-2.0 * beta * spec.h**2) * padded_irfft(spec, w_hat)
     G = np.fft.ifft2(lin_hat)
     G -= 1j * beta * (ax * ux + ay * uy)
-    G += (beta**2 * a2 + V + W) * v
+    G += (beta**2 * (ax**2 + ay**2) + V + W) * v
     return bd, G
 
 

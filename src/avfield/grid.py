@@ -9,6 +9,11 @@ this for the states we care about).  Convolutions are zero-padded to
 2n per axis, so they are linear (no wrap-around) inside the primary
 box; the kernel tail beyond the padded box is truncated, an O(1/L)
 error controlled by the box size.
+
+Padded half spectra, shape (2n, n+1) indexed [ky, kx], are kx-major (the
+``.T`` of a C-ordered buffer), so both passes of a padded transform run
+along contiguous rows; the values are numpy's ``rfft2`` bit for bit.  No
+transform writes into its argument.
 """
 
 from __future__ import annotations
@@ -99,29 +104,43 @@ def spectral_laplacian(spec: GridSpec, f: np.ndarray) -> np.ndarray:
 
 
 def kernel_fft(spec: GridSpec, kernel: np.ndarray) -> np.ndarray:
-    """Precompute the padded-grid FFT of a centered kernel sample.
+    """Padded half spectrum, kx-major, of a centered kernel sample.
 
     The kernel must be sampled on the 2n x 2n offsets returned by
-    ``padded_axis`` (origin at index n along each axis).
+    ``padded_axis`` (origin at index n along each axis).  Equals
+    ``rfft2(ifftshift(kernel))`` bit for bit.
     """
     m = 2 * spec.n
     if kernel.shape != (m, m):
         raise ConfigurationError(
             f"kernel shape {kernel.shape} does not match padded grid ({m}, {m})"
         )
-    return np.fft.rfft2(np.fft.ifftshift(kernel))
+    return padded_rfft(spec, np.fft.ifftshift(kernel))  # 2n x 2n: nothing to pad
 
 
 def padded_rfft(spec: GridSpec, f: np.ndarray) -> np.ndarray:
-    """Half spectrum, shape (2n, n+1), of the real n x n field f zero-padded to 2n x 2n."""
+    """Half spectrum, shape (2n, n+1), of the real n x n field f zero-padded to 2n x 2n.
+
+    Kx-major, equal to ``rfft2(f, s=(2n, 2n))`` bit for bit: the row
+    transforms, transposed into a zeroed (n+1, 2n) buffer, transformed in place.
+    """
     m = 2 * spec.n
-    return np.fft.fft(np.fft.rfft(f, n=m, axis=1), n=m, axis=0)
+    buf = np.zeros((spec.n + 1, m), dtype=complex)  # before the rows: a lower peak RSS
+    buf[:, : f.shape[0]] = np.fft.rfft(f, n=m, axis=1).T
+    np.fft.fft(buf, axis=1, out=buf)
+    return buf.T
 
 
 def padded_irfft(spec: GridSpec, fh: np.ndarray) -> np.ndarray:
-    """Primary n x n block of the real inverse of a (2n, n+1) padded half spectrum."""
+    """Primary n x n block of the real inverse of a (2n, n+1) padded half spectrum.
+
+    Equals ``irfft2(fh, s=(2n, 2n))[:n, :n]`` bit for bit; a kx-major fh
+    is read along contiguous rows.
+    """
     n = spec.n
-    return np.fft.irfft(np.fft.ifft(fh, axis=0)[:n], n=2 * n, axis=1)[:, :n]
+    # the full column transforms are freed before the row pass allocates
+    rows = np.ascontiguousarray(np.fft.ifft(fh.T, axis=1)[:, :n].T)
+    return np.fft.irfft(rows, n=2 * n, axis=1)[:, :n]
 
 
 def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
@@ -174,9 +193,9 @@ class WaveFunction:
 
     def boundary_mass(self) -> float:
         """Largest density sample on the outermost grid ring (decay check)."""
-        rho = np.abs(self.values) ** 2
-        edge = np.concatenate([rho[0, :], rho[-1, :], rho[:, 0], rho[:, -1]])
-        return float(edge.max())
+        v = self.values
+        edge = np.concatenate([v[0, :], v[-1, :], v[:, 0], v[:, -1]])
+        return float((np.abs(edge) ** 2).max())
 
 
 def gaussian_state(spec: GridSpec, width: float = 1.0, vortex: bool = False) -> WaveFunction:

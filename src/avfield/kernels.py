@@ -124,7 +124,7 @@ def trap_values(spec: GridSpec, trap: TrapPotential) -> np.ndarray:
 
 @dataclass
 class KernelSet:
-    """Padded-grid FFTs (``kernel_fft``) of grad w_R and |grad w_R|^2.
+    """Padded-grid FFTs (``kernel_fft``, kx-major) of grad w_R and |grad w_R|^2.
 
     ``grad_w_sq_fft`` is None for R = 0: |grad w_0|^2 is not locally
     integrable and the singular two-body term is only offered for R > 0.
@@ -167,7 +167,8 @@ def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
     scale = (nc / spec.n) ** 2  # (h / h_c)^2, exact for powers of two
 
     def band(fh: np.ndarray) -> np.ndarray:
-        out = np.concatenate([fh[:nc, :nc + 1], fh[-nc:, :nc + 1]]) * scale
+        # cut from the kx-major transpose, so the band keeps fh's layout
+        out = np.concatenate([fh.T[:nc + 1, :nc], fh.T[:nc + 1, -nc:]], axis=1).T * scale
         out[nc] = 0.0
         out[:, nc] = 0.0
         return out

@@ -98,7 +98,6 @@ def mixed_term_crosscheck(u: WaveFunction, R: float) -> tuple[float, float]:
     # so convolving J against +g gives the sign-flipped evaluation
     b1 = convolve(spec, J[0], gy) - convolve(spec, J[1], gx)
     route_a = 2.0 * float(integrate(spec, fields.rho * b1))
-    A = fields.A
-    route_b = 2.0 * float(integrate(spec, A[0] * J[0] + A[1] * J[1]))
+    route_b = 2.0 * fields.A_dot_J
     return route_a, route_b
 

@@ -40,12 +40,13 @@ def save_state(path: str | Path, u: WaveFunction, beta: float, R: float) -> None
     path = Path(path)
     spec = u.grid
     header = _HEADER.pack(MAGIC, VERSION, spec.n, spec.half_width, beta, R)
-    payload = np.ascontiguousarray(u.values, dtype=np.complex128)
+    # no copy of a C-ordered state on a little-endian host
+    payload = np.ascontiguousarray(u.values, dtype="<c16")
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(header)
-            fh.write(payload.astype("<c16").tobytes())
+            fh.write(payload.data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -55,9 +56,7 @@ def save_state(path: str | Path, u: WaveFunction, beta: float, R: float) -> None
         raise
 
 
-def read_header(path: str | Path) -> StateHeader:
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
+def _parse_header(path: str | Path, raw: bytes) -> StateHeader:
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header")
     magic, version, n, L, beta, R = _HEADER.unpack(raw)
@@ -68,6 +67,11 @@ def read_header(path: str | Path) -> StateHeader:
     return StateHeader(n=int(n), half_width=L, beta=beta, R=R)
 
 
+def read_header(path: str | Path) -> StateHeader:
+    with open(path, "rb") as fh:
+        return _parse_header(path, fh.read(_HEADER.size))
+
+
 def load_state(
     path: str | Path, expected: GridSpec | None = None
 ) -> tuple[WaveFunction, StateHeader]:
@@ -75,16 +79,13 @@ def load_state(
 
     A payload with a NaN or infinite sample raises ``FormatError``.
     """
-    header = read_header(path)
     with open(path, "rb") as fh:
-        fh.seek(_HEADER.size)
+        header = _parse_header(path, fh.read(_HEADER.size))
         raw = fh.read()
     count = header.n * header.n
     if len(raw) != count * 16:
-        raise FormatError(
-            f"{path}: payload holds {len(raw)} bytes, expected {count * 16}"
-        )
-    vals = np.frombuffer(raw, dtype="<c16").astype(np.complex128)
+        raise FormatError(f"{path}: payload holds {len(raw)} bytes, expected {count * 16}")
+    vals = np.frombuffer(raw, dtype="<c16")  # WaveFunction makes it native complex
     spec = GridSpec(n=header.n, half_width=header.half_width)
     if expected is not None and (
         expected.n != spec.n or expected.half_width != spec.half_width

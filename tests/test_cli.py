@@ -37,6 +37,16 @@ def test_state_round_trip_bit_exact(tmp_path, spec):
     assert header.n == 32 and header.half_width == 4.0
 
 
+def test_saved_file_is_header_then_little_endian_payload(tmp_path, spec):
+    rng = np.random.default_rng(3)
+    vals = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    for u in (WaveFunction(spec, vals), WaveFunction(spec, np.asfortranarray(vals))):
+        path = tmp_path / "u.state"
+        save_state(path, u, beta=0.75, R=0.2)
+        header = struct.pack("<4sIQddd", b"AFGS", 1, 32, 4.0, 0.75, 0.2)
+        assert path.read_bytes() == header + u.values.astype("<c16").tobytes()
+
+
 def test_state_header_only(tmp_path, spec):
     path = tmp_path / "u.state"
     save_state(path, gaussian_state(spec), beta=0.5, R=0.0)
@@ -169,6 +179,28 @@ def test_unreadable_or_unwritable_file_exits_config(tmp_path, capsys, argv):
     missing = str(tmp_path / "missing")
     assert run([a.format(missing=missing) for a in argv]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--beta", "0", "--grid", "32", "--out", "{missing}/report.json"],
+        ["solve", "--beta", "0", "--grid", "32", "--state-out", "{missing}/u.state"],
+        ["solve", "--beta", "0", "--grid", "32", "--history-out", "{missing}/h.csv"],
+        ["sweep", "--axis", "beta", "--values", "0", "--grid", "32",
+         "--out", "{missing}/sweep.csv"],
+    ],
+    ids=["out", "state-out", "history-out", "sweep-out"],
+)
+def test_missing_output_directory_refused_before_solving(tmp_path, capsys, monkeypatch, argv):
+    def never(*args, **kwargs):
+        raise AssertionError("solved before checking the output paths")
+
+    monkeypatch.setattr(cli, "minimize", never)
+    monkeypatch.setattr(cli, "sweep", never)
+    missing = str(tmp_path / "missing")
+    assert run([a.format(missing=missing) for a in argv]) == EXIT_CONFIG
+    assert "its directory does not exist" in capsys.readouterr().err
 
 
 def test_sweep_command_csv(tmp_path):

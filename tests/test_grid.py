@@ -13,6 +13,8 @@ from avfield.grid import (
     integrate,
     kernel_fft,
     l2_norm,
+    padded_irfft,
+    padded_rfft,
     spectral_gradient,
     spectral_laplacian,
 )
@@ -116,6 +118,31 @@ def test_convolution_of_gaussians(spec):
         convolve(spec, f, kern)  # the samples, not their padded spectrum
 
 
+@pytest.mark.parametrize("n", [16, 64, 256])
+def test_padded_transforms_are_the_unpruned_numpy_ones(n):
+    # kx-major storage changes where the spectra lie in memory, not one bit
+    # of their values, and no transform writes into its argument
+    spec = GridSpec(n=n, half_width=4.0)
+    rng = np.random.default_rng(n)
+    f, g = rng.normal(size=(2, n, n))
+    kern = rng.normal(size=(2 * n, 2 * n))
+    f0, kern0 = f.copy(), kern.copy()
+
+    fh = padded_rfft(spec, f)
+    assert fh.flags.f_contiguous and fh.shape == (2 * n, n + 1)
+    assert fh.tobytes() == np.fft.rfft2(f, s=(2 * n, 2 * n)).tobytes()
+    kh = kernel_fft(spec, kern)
+    assert kh.flags.f_contiguous
+    assert kh.tobytes() == np.fft.rfft2(np.fft.ifftshift(kern)).tobytes()
+    assert np.array_equal(f, f0) and np.array_equal(kern, kern0)
+
+    for prod in (fh * padded_rfft(spec, g), fh * kh, np.ascontiguousarray(fh * kh)):
+        prod0 = prod.copy()
+        want = np.fft.irfft2(prod, s=(2 * n, 2 * n))[:n, :n]
+        assert padded_irfft(spec, prod).tobytes() == want.tobytes()
+        assert np.array_equal(prod, prod0)
+
+
 def test_wavefunction_normalization(spec):
     u = gaussian_state(spec, width=1.3)
     assert u.l2_norm == pytest.approx(1.0, abs=1e-14)
@@ -140,6 +167,16 @@ def test_boundary_mass_decay(spec):
     assert u.boundary_mass() < 1e-16
     wide = gaussian_state(spec, width=6.0)
     assert wide.boundary_mass() > 1e-6
+
+
+def test_boundary_mass_reads_the_edge_ring(spec):
+    rng = np.random.default_rng(4)
+    vals = 0.5 * (rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    vals[5, 7] = 100.0  # the interior maximum is not on the ring
+    vals[-1, 9] = 3.0 - 4.0j
+    rho = np.abs(vals) ** 2
+    edge = np.concatenate([rho[0, :], rho[-1, :], rho[:, 0], rho[:, -1]])
+    assert WaveFunction(spec, vals).boundary_mass() == float(edge.max()) == 25.0
 
 
 def test_wavefunction_is_immutable(spec):

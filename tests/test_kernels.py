@@ -172,6 +172,15 @@ def test_gradient_contract_with_restricted_kernels():
     assert fd == pytest.approx(2.0 * inner(COARSE, v, G).real, rel=1e-6)
 
 
+def test_kernel_spectra_are_kx_major():
+    # the layout of padded_rfft's spectra, so products keep it and the
+    # padded inverse reads contiguous rows
+    fine = kernels_for(FINE, 0.1)
+    for ks in (fine, restrict(fine, FINE, COARSE)):
+        for fh in (*ks.grad_w_fft, ks.grad_w_sq_fft):
+            assert fh.flags.f_contiguous
+
+
 @pytest.mark.parametrize("R", [0.0, 0.1])
 def test_restriction_composes_exactly(R):
     mid = GridSpec(n=128, half_width=8.0)
