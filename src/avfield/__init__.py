@@ -12,7 +12,7 @@ from .errors import (
 )
 from .grid import GridSpec, WaveFunction, gaussian_state
 from .kernels import SmearedCoulomb, TrapPotential, eta0, lp_norm_grad_w
-from .functional import EnergyBreakdown, FunctionalParams, energy, gradient
+from .functional import EnergyBreakdown, FunctionalParams, energy
 from .solver import SolverConfig, SolveResult, minimize, sweep
 from .manybody import (
     ManyBodyBreakdown,
@@ -40,7 +40,6 @@ __all__ = [
     "EnergyBreakdown",
     "FunctionalParams",
     "energy",
-    "gradient",
     "SolverConfig",
     "SolveResult",
     "minimize",

@@ -4,11 +4,14 @@ The checks of ``verify`` live in ``avfield.verify``; this module looks
 up the suite, adds the configuration to its report and sets the exit
 code.  Reports are JSON (nested summaries) or CSV (flat sweep tables).
 Every JSON report embeds the resolved configuration and the package
-version so a run can be reproduced from its artifacts alone.  Exit
-codes: 0 success, 1 configuration error (an argparse usage error too,
-such as ``verify --samples`` below 1, and a file that cannot be read or
-written), 2 numerical failure, 3 invariant violation found by verify, 4 a
-solve or a sweep row stopped unconverged.
+version so a run can be reproduced from its artifacts alone.  ``solve``
+starts cold from ``--init`` or warm from the state file ``--state-in``,
+never from both.  Exit codes: 0 success, 1 configuration error (an
+argparse usage error too, such as ``verify --samples`` below 1, a
+``sweep --values`` that is not a list of numbers or ``--init`` with
+``--state-in``, and a file that cannot be read or written), 2 numerical
+failure (a stalled line search too), 3 invariant violation found by
+verify, 4 a solve or a sweep row stopped unconverged.
 An unconverged solve or sweep row is also reported on stderr (and in a
 solve report's ``warnings``), after its report, state and CSV are
 written.  A sweep row that raised a numerical failure makes the sweep
@@ -25,18 +28,12 @@ import sys
 from pathlib import Path
 
 from . import __version__, verify
-from .errors import (
-    ConfigurationError,
-    DomainError,
-    FormatError,
-    NumericalFailureError,
-    SolverStalledError,
-)
+from .errors import ConfigurationError, DomainError, FormatError, NumericalFailureError
 from .functional import FunctionalParams, energy
 from .grid import GridSpec
 from .kernels import TrapPotential
 from .manybody import ManyBodyParams, product_state_energy
-from .solver import SolverConfig, minimize, sweep
+from .solver import INITS, SolverConfig, minimize, sweep
 from .stateio import load_state, save_state
 
 EXIT_OK = 0
@@ -105,15 +102,8 @@ def cmd_solve(args) -> int:
     _check_output_dirs(args.out, args.state_out, args.history_out)
     spec = _grid_from_args(args)
     params = FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
-    cfg = _solver_from_args(args)
-    warm = None
-    if args.state_in and args.init != "from_file":
-        raise ConfigurationError("--state-in requires --init from_file")
-    if args.init == "from_file":
-        if not args.state_in:
-            raise ConfigurationError("--init from_file requires --state-in")
-        warm, _ = load_state(args.state_in, expected=spec)
-    res = minimize(params, spec, cfg, warm_start=warm)
+    warm = load_state(args.state_in, expected=spec)[0] if args.state_in else None
+    res = minimize(params, spec, _solver_from_args(args), warm_start=warm)
     for warning in res.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if args.state_out:
@@ -141,31 +131,19 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ConfigurationError("sweep needs a non-empty --values list")
     _check_output_dirs(args.out)
     spec = _grid_from_args(args)
     params = FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
-    rows = sweep(args.axis, values, params, spec, _solver_from_args(args))
+    rows = sweep(args.axis, args.values, params, spec, _solver_from_args(args))
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(sink)
         w.writerow(SWEEP_COLUMNS)
         for row in rows:
             bd = row.breakdown
+            terms = [repr(getattr(bd, name)) if bd else "" for name in SWEEP_COLUMNS[1:6]]
             w.writerow(
-                [
-                    repr(row.axis_value),
-                    repr(bd.total) if bd else "",
-                    repr(bd.kinetic) if bd else "",
-                    repr(bd.mixed) if bd else "",
-                    repr(bd.quartic) if bd else "",
-                    repr(bd.potential) if bd else "",
-                    row.converged,
-                    repr(row.grad_norm),
-                    row.iterations,
-                ]
+                [repr(row.axis_value), *terms, row.converged, repr(row.grad_norm), row.iterations]
             )
     finally:
         if args.out:
@@ -218,6 +196,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def float_list(text: str) -> list[float]:
+    """A non-empty comma-separated list of numbers; empty items are skipped."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
+    if not values:
+        raise argparse.ArgumentTypeError("needs at least one value")
+    return values
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="avfield",
@@ -226,42 +215,44 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp):
-        sp.add_argument("--grid", type=int, default=256, help="grid points per side")
-        sp.add_argument("--box", type=float, default=8.0, help="half-width of the box")
+    def add_trap_and_out(sp):
         sp.add_argument("--trap", choices=["harmonic", "power"], default="harmonic")
         sp.add_argument("--trap-c", type=float, default=1.0)
         sp.add_argument("--trap-s", type=float, default=2.0)
         sp.add_argument("--out", default=None, help="write the report here instead of stdout")
 
-    def add_solver(sp):
+    def add_common(sp):
+        sp.add_argument("--grid", type=int, default=256, help="grid points per side")
+        sp.add_argument("--box", type=float, default=8.0, help="half-width of the box")
+        add_trap_and_out(sp)
+
+    def add_solver(sp, starts):
+        # ``starts`` holds --init, and in ``solve`` also --state-in, which excludes it
         sp.add_argument("--max-iters", type=int, default=5000)
         sp.add_argument("--tol-energy", type=float, default=1e-10)
         sp.add_argument("--tol-grad", type=float, default=1e-5)
-        sp.add_argument(
-            "--init",
-            choices=["gaussian", "gaussian_vortex", "from_file", "random"],
-            default="gaussian",
-        )
+        starts.add_argument("--init", choices=INITS, default="gaussian")
         sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("solve", help="minimize the average-field energy")
     sp.add_argument("--beta", type=float, required=True)
     sp.add_argument("--R", type=float, default=0.0)
     add_common(sp)
-    add_solver(sp)
-    sp.add_argument("--state-in", default=None, help="warm-start state file")
+    starts = sp.add_mutually_exclusive_group()
+    add_solver(sp, starts)
+    starts.add_argument("--state-in", default=None, help="warm-start state file")
     sp.add_argument("--state-out", default=None, help="write the minimizer here")
     sp.add_argument("--history-out", default=None, help="energy history CSV")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="minimize along one parameter axis")
     sp.add_argument("--axis", choices=["beta", "R", "s"], required=True)
-    sp.add_argument("--values", required=True, help="comma-separated axis values")
+    sp.add_argument("--values", type=float_list, required=True,
+                    help="comma-separated axis values")
     sp.add_argument("--beta", type=float, default=1.0)
     sp.add_argument("--R", type=float, default=0.0)
     add_common(sp)
-    add_solver(sp)
+    add_solver(sp, sp)
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("verify", help="run a sampling verification suite")
@@ -276,10 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--N", type=int, required=True)
     sp.add_argument("--beta", type=float, default=None, help="override the stored beta")
     sp.add_argument("--R", type=float, default=None, help="override the stored radius")
-    sp.add_argument("--trap", choices=["harmonic", "power"], default="harmonic")
-    sp.add_argument("--trap-c", type=float, default=1.0)
-    sp.add_argument("--trap-s", type=float, default=2.0)
-    sp.add_argument("--out", default=None)
+    add_trap_and_out(sp)
     sp.set_defaults(func=cmd_energy)
     return p
 
@@ -297,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigurationError, DomainError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalFailureError, SolverStalledError) as exc:
+    except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

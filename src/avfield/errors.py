@@ -14,22 +14,11 @@ class DomainError(AvfieldError, ValueError):
 
 
 class NumericalFailureError(AvfieldError):
-    """Non-finite values encountered during a computation.
-
-    Carries the last valid state when raised by the solver.
-    """
-
-    def __init__(self, message, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
+    """A computation met non-finite values or could not proceed."""
 
 
-class SolverStalledError(AvfieldError):
+class SolverStalledError(NumericalFailureError):
     """Line search failed to find an acceptable step."""
-
-    def __init__(self, message, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state
 
 
 class FormatError(AvfieldError):

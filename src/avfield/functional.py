@@ -12,20 +12,19 @@ self-consistency potential W on top of the magnetic Schroedinger action;
 its sign and normalization are pinned by the finite-difference contract
 exercised in the tests rather than trusted.
 
-Every evaluation (``energy``, ``energy_and_gradient``, ``gradient``,
-the product-state terms and cross-check in ``manybody`` and the
-polar-form cross-check in ``verify``) reads the density, spectral
-derivatives, phase current and vector potential of a state from one
-``StateFields``, which computes each of them at most once.
-``state_fields`` keeps it on the (immutable) state, keyed by the
-identity of its ``KernelSet``, so later calls on the state reuse it:
-after ``energy`` the gradient adds only its own transforms and the
-product-state energy one padded inverse.  Other kernels replace it, and
-it is freed with the state.  ``energy``, ``energy_and_gradient`` and
-``gradient`` also accept a ``StateFields``; the solver's start
-(possibly a caller's warm start) and ``verify.evaluated`` (whose result
-keeps every state) pass one, so they pin no fields on states they do
-not own.
+Every evaluation (``energy``, ``energy_and_gradient``, the product-state
+terms and cross-check in ``manybody`` and the polar-form cross-check in
+``verify``) reads the density, spectral derivatives, phase current and
+vector potential of a state from one ``StateFields``, which computes
+each of them at most once.  ``state_fields`` keeps it on the (immutable)
+state, keyed by the identity of its ``KernelSet``, so later calls on the
+state reuse it: after ``energy`` the gradient adds only its own
+transforms and the product-state energy one padded inverse.  Other
+kernels replace it, and it is freed with the state.  ``energy`` and
+``energy_and_gradient`` also accept a ``StateFields``; the solver's
+start (possibly a caller's warm start) and ``verify.evaluated`` (whose
+result keeps every state) pass one, so they pin no fields on states
+they do not own.
 """
 
 from __future__ import annotations
@@ -226,11 +225,6 @@ def energy_and_gradient(
     bit.
     """
     return evaluate(state_fields(u, params.R), params, with_gradient=True)
-
-
-def gradient(u: WaveFunction | StateFields, params: FunctionalParams) -> np.ndarray:
-    """First variation of the energy; see ``evaluate``."""
-    return energy_and_gradient(u, params)[1]
 
 
 def sphere_project(spec: GridSpec, g: np.ndarray, u: WaveFunction) -> np.ndarray:

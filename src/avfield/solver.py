@@ -49,11 +49,11 @@ construction.  A solve that ends unconverged says so in its warnings.
 
 A cold solve on n >= 128 points is a nested iteration, the first stage
 of full multigrid (Brandt, "Multi-level adaptive solutions to
-boundary-value problems", Math. Comp. 31, 1977): it solves the same
-problem on n / 2 points (recursively, down to n = 64, where the
-configured init applies), interpolates that minimizer spectrally onto n
-points and finishes there.  Every level uses the same configuration.  A
-warm start skips the coarse levels.
+boundary-value problems", Math. Comp. 31, 1977): one loop climbs the
+ladder n / 2^k, ..., n / 2, n of grids from n / 2^k = 64, where the
+configured init applies, solving the same problem on each grid and
+interpolating its minimizer spectrally onto the next.  Every level uses
+the same configuration.  A warm start skips the coarse levels.
 
 The coarse levels solve the fine grid's problem, not their own
 discretization of it: their kernels are the fine kernels' padded
@@ -101,6 +101,7 @@ PERTURBATION = 0.1  # amplitude of the ``random`` init's plane waves
 SYMMETRY_SEED = 1e-10
 # a cold solve with n >= 2 COARSEST_N starts on coarser grids, down to this one
 COARSEST_N = 64
+INITS = ("gaussian", "gaussian_vortex", "random")  # the starts of a cold solve
 
 
 @dataclass(frozen=True)
@@ -108,13 +109,13 @@ class SolverConfig:
     max_iters: int = 5000
     tol_energy: float = 1e-10
     tol_grad: float = 1e-7
-    init: str = "gaussian"  # gaussian | gaussian_vortex | from_file | random
+    init: str = "gaussian"  # one of INITS
     seed: int | None = None
 
     def __post_init__(self):
         if self.tol_energy <= 0 or self.tol_grad <= 0:
             raise ConfigurationError("tolerances must be positive")
-        if self.init not in ("gaussian", "gaussian_vortex", "from_file", "random"):
+        if self.init not in INITS:
             raise ConfigurationError(f"unknown init {self.init!r}")
 
 
@@ -133,10 +134,8 @@ class SolveResult:
     level_iterations: list[int] = field(default_factory=list)
 
 
-def initial_state(
-    spec: GridSpec, cfg: SolverConfig, warm: WaveFunction | None = None
-) -> WaveFunction:
-    """The normalized start of a solve.
+def initial_state(spec: GridSpec, cfg: SolverConfig) -> WaveFunction:
+    """The normalized start of a cold solve on ``spec``.
 
     The Gaussian starts are invariant, up to a phase, under the grid's
     reflections and quarter turns, and so is every iterate of a descent from them in exact
@@ -148,10 +147,6 @@ def initial_state(
     descent that lingers near the saddle amplifies it until it leaves; one
     that converges onto a saddle within a few iterations still stops there.
     """
-    if warm is not None:
-        return warm.normalized()
-    if cfg.init == "from_file":
-        raise ConfigurationError("init 'from_file' requires a warm-start state")
     if cfg.init != "random":
         base = gaussian_state(spec, vortex=cfg.init == "gaussian_vortex")
         x, y = spec.meshgrid()
@@ -266,43 +261,6 @@ def _prolong(u: WaveFunction, spec: GridSpec) -> WaveFunction:
     return WaveFunction(spec, np.fft.ifft2(np.fft.ifftshift(fine))).normalized()
 
 
-def _coarse_start(
-    params: FunctionalParams,
-    spec: GridSpec,
-    cfg: SolverConfig,
-    kernels: KernelSet,
-    levels: list[int],
-    warnings: list[str],
-) -> WaveFunction:
-    """Start of a cold solve on ``spec``: the prolonged minimizer on n / 2 points.
-
-    The coarse solve is itself started this way, down to COARSEST_N, where
-    the configured init applies.  Each level restricts the ``kernels`` of
-    ``spec`` to its own grid (``kernels.restrict``) and drops them with the
-    level, so no coarse grid is sampled or cached.  ``levels`` receives the
-    iterations of each coarse level, coarsest first.  A coarse level that fails is not fatal:
-    ``spec`` then starts from its own initial state, with one warning, and
-    the levels below the failed one are dropped from ``levels``.
-    """
-    coarse = GridSpec(spec.n // 2, spec.half_width)
-    coarse_kernels = restrict(kernels, spec, coarse)
-    if coarse.n >= 2 * COARSEST_N:
-        u = _coarse_start(params, coarse, cfg, coarse_kernels, levels, warnings)
-    else:
-        u = initial_state(coarse, cfg)
-    try:
-        res = _minimize_level(params, coarse, cfg, u, coarse_kernels)
-    except (NumericalFailureError, SolverStalledError) as exc:
-        levels.clear()
-        warnings.append(
-            f"coarse level n={coarse.n} failed ({exc}); "
-            f"n={spec.n} starts from the initial state"
-        )
-        return initial_state(spec, cfg)
-    levels.append(res.iterations)
-    return _prolong(res.u, spec)
-
-
 def minimize(
     params: FunctionalParams,
     spec: GridSpec,
@@ -311,22 +269,57 @@ def minimize(
 ) -> SolveResult:
     """Minimize the average-field energy over normalized states on the grid.
 
-    A cold solve (no ``warm_start``) with n >= 2 COARSEST_N starts from
-    the minimizer on the next coarser grid (nested iteration, see the
-    module docstring).  Warnings of the coarse levels are not copied into
-    the result; the returned grid's own are.
+    A cold solve (no ``warm_start``) with n >= 2 COARSEST_N starts on
+    COARSEST_N points and climbs to n (nested iteration, see the module
+    docstring).  Each coarse level restricts the ``kernels`` of ``spec``
+    to its own grid (``kernels.restrict``) and drops them with the level,
+    so no coarse grid is sampled or cached.  A coarse level that fails is
+    not fatal: the next grid then starts from its own initial state, with
+    one warning, and the iterations of the levels below it are dropped
+    from ``level_iterations``.  Warnings of the coarse levels are not
+    copied into the result; the returned grid's own are.
     """
     levels: list[int] = []
     warnings: list[str] = []
     kernels = kernels_for(spec, params.R)
-    if warm_start is None and spec.n >= 2 * COARSEST_N:
-        u = _coarse_start(params, spec, cfg, kernels, levels, warnings)
+    if warm_start is None:
+        # COARSEST_N, 2 COARSEST_N, ..., n; only n when n < 2 COARSEST_N
+        depth = spec.n.bit_length() - COARSEST_N.bit_length()
+        grids = [GridSpec(spec.n >> k, spec.half_width) for k in range(depth, 0, -1)]
+        grids.append(spec)
+        u = initial_state(grids[0], cfg)
     else:
-        u = initial_state(spec, cfg, warm_start)
+        grids = [spec]
+        u = warm_start.normalized()
+    for coarse, fine in zip(grids, grids[1:]):
+        try:
+            res = _minimize_level(params, coarse, cfg, u, restrict(kernels, spec, coarse))
+        except NumericalFailureError as exc:
+            levels.clear()
+            warnings.append(
+                f"coarse level n={coarse.n} failed ({exc}); "
+                f"n={fine.n} starts from the initial state"
+            )
+            u = initial_state(fine, cfg)
+            continue
+        levels.append(res.iterations)
+        u = _prolong(res.u, fine)
+        del res  # the coarse minimizer is not kept through the finer levels
     res = _minimize_level(params, spec, cfg, u, kernels)
     res.level_iterations = levels + [res.iterations]
     res.warnings[:0] = warnings
     return res
+
+
+def _warn_boundary(u: WaveFunction, when: str, warnings: list[str]) -> float:
+    """The boundary mass of ``u``, with a warning when it exceeds BOUNDARY_MASS_WARN."""
+    edge = u.boundary_mass()
+    if edge > BOUNDARY_MASS_WARN:
+        warnings.append(
+            f"{when} boundary density {edge:.3e} exceeds "
+            f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
+        )
+    return edge
 
 
 def _minimize_level(
@@ -338,16 +331,11 @@ def _minimize_level(
 ) -> SolveResult:
     """Minimize on one grid from the normalized state ``u``."""
     warnings: list[str] = []
-    edge = u.boundary_mass()
-    if edge > BOUNDARY_MASS_WARN:
-        warnings.append(
-            f"initial boundary density {edge:.3e} exceeds "
-            f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
-        )
+    _warn_boundary(u, "initial", warnings)
     # explicit fields, so none are left on u, which may be a caller's state
     bd, G = energy_and_gradient(StateFields(u, kernels), params)
     if not np.isfinite(bd.total):
-        raise NumericalFailureError("non-finite initial energy", last_state=u)
+        raise NumericalFailureError("non-finite initial energy")
     history = [bd.total]
     tau = STEP0
     converged = False
@@ -401,9 +389,7 @@ def _minimize_level(
             del rho
             trial_bd = energy(trial_fields, params)
             if not np.isfinite(trial_bd.total):
-                raise NumericalFailureError(
-                    "non-finite energy during line search", last_state=u
-                )
+                raise NumericalFailureError("non-finite energy during line search")
             if trial_bd.total <= bd.total + ARMIJO_C * tau * slope:
                 accepted = True
                 break
@@ -416,8 +402,7 @@ def _minimize_level(
                 break
             raise SolverStalledError(
                 f"no Armijo step after {MAX_BACKTRACKS} halvings "
-                f"(grad norm {grad_norm:.3e})",
-                last_state=u,
+                f"(grad norm {grad_norm:.3e})"
             )
         # curvature of the quadratic through E(0), E'(0) = slope and E(tau)
         curv = trial_bd.total - bd.total - slope * tau
@@ -449,12 +434,7 @@ def _minimize_level(
             f"not converged after {iterations} iterations: projected gradient "
             f"norm {grad_norm:.3e} (tol_grad {cfg.tol_grad:g})"
         )
-    edge = u.boundary_mass()
-    if edge > BOUNDARY_MASS_WARN:
-        warnings.append(
-            f"final boundary density {edge:.3e} exceeds "
-            f"{BOUNDARY_MASS_WARN:g}; the box may be too small"
-        )
+    edge = _warn_boundary(u, "final", warnings)
     return SolveResult(
         u=u,
         breakdown=bd,
@@ -529,7 +509,7 @@ def sweep(
                     u=res.u,
                 )
             )
-        except (NumericalFailureError, SolverStalledError) as exc:
+        except NumericalFailureError as exc:
             rows.append(
                 SweepRow(
                     axis_value=value,

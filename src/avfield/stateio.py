@@ -67,11 +67,6 @@ def _parse_header(path: str | Path, raw: bytes) -> StateHeader:
     return StateHeader(n=int(n), half_width=L, beta=beta, R=R)
 
 
-def read_header(path: str | Path) -> StateHeader:
-    with open(path, "rb") as fh:
-        return _parse_header(path, fh.read(_HEADER.size))
-
-
 def load_state(
     path: str | Path, expected: GridSpec | None = None
 ) -> tuple[WaveFunction, StateHeader]:

@@ -14,10 +14,12 @@ from avfield.cli import (
     EXIT_UNCONVERGED,
     main,
 )
-from avfield.errors import FormatError
+from avfield import solver
+from avfield.errors import FormatError, SolverStalledError
+from avfield.functional import EnergyBreakdown
 from avfield.grid import GridSpec, WaveFunction, gaussian_state
 from avfield.solver import SweepRow
-from avfield.stateio import load_state, read_header, save_state
+from avfield.stateio import load_state, save_state
 
 
 @pytest.fixture
@@ -50,7 +52,7 @@ def test_saved_file_is_header_then_little_endian_payload(tmp_path, spec):
 def test_state_header_only(tmp_path, spec):
     path = tmp_path / "u.state"
     save_state(path, gaussian_state(spec), beta=0.5, R=0.0)
-    h = read_header(path)
+    h = load_state(path)[1]
     assert h.n == 32 and h.beta == 0.5
 
 
@@ -133,18 +135,17 @@ def test_solve_report_lists_level_iterations(tmp_path):
 
 def test_solve_warm_restart_via_file(tmp_path):
     state = tmp_path / "u.state"
-    common = ["--beta", "0.3", "--R", "0.1", "--grid", "64", "--box", "8",
+    common = ["--beta", "0.3", "--R", "0.1", "--grid", "128", "--box", "8",
               "--tol-grad", "1e-4"]
     first = tmp_path / "first.json"
     assert run(["solve", *common, "--state-out", str(state), "--out", str(first)]) == EXIT_OK
     second = tmp_path / "second.json"
-    code = run(
-        ["solve", *common, "--init", "from_file", "--state-in", str(state),
-         "--out", str(second)]
-    )
-    assert code == EXIT_OK
+    assert run(["solve", *common, "--state-in", str(state), "--out", str(second)]) == EXIT_OK
     r1 = json.loads(first.read_text())
     r2 = json.loads(second.read_text())
+    # the cold solve starts on n = 64, the warm one on the file's grid only
+    assert len(r1["level_iterations"]) == 2
+    assert r2["level_iterations"] == [r2["iterations"]]
     assert r2["iterations"] <= 5
     assert r2["breakdown"]["total"] == pytest.approx(r1["breakdown"]["total"], abs=1e-8)
 
@@ -155,22 +156,26 @@ def test_solve_invalid_grid_exits_config(capsys):
 
 
 def test_from_file_without_state_in(capsys):
-    assert run(["solve", "--beta", "0", "--init", "from_file"]) == EXIT_CONFIG
+    # the warm start is --state-in alone; no init value stands for it
+    for argv in (["solve", "--beta", "0"], ["sweep", "--axis", "beta", "--values", "0"]):
+        assert run([*argv, "--grid", "32", "--init", "from_file"]) == EXIT_CONFIG
+        assert "invalid choice: 'from_file'" in capsys.readouterr().err
 
 
-def test_state_in_without_from_file(tmp_path, capsys):
-    # a warm-start file is read only by --init from_file; never drop it silently
+def test_state_in_excludes_init(tmp_path, capsys):
+    # a warm start ignores the init, so asking for both is refused
     state = tmp_path / "u.state"
     save_state(state, gaussian_state(GridSpec(n=32, half_width=8.0)), beta=0.0, R=0.0)
-    assert run(["solve", "--beta", "0", "--grid", "32", "--state-in", str(state)]) == EXIT_CONFIG
-    assert "--state-in requires --init from_file" in capsys.readouterr().err
+    argv = ["solve", "--beta", "0", "--grid", "32", "--init", "random", "--state-in", str(state)]
+    assert run(argv) == EXIT_CONFIG
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
         ["energy", "{missing}", "--N", "2"],
-        ["solve", "--beta", "0", "--grid", "32", "--init", "from_file", "--state-in", "{missing}"],
+        ["solve", "--beta", "0", "--grid", "32", "--state-in", "{missing}"],
         ["solve", "--beta", "0", "--grid", "32", "--out", "{missing}/report.json"],
     ],
     ids=["energy", "state-in", "out"],
@@ -203,7 +208,7 @@ def test_missing_output_directory_refused_before_solving(tmp_path, capsys, monke
     assert "its directory does not exist" in capsys.readouterr().err
 
 
-def test_sweep_command_csv(tmp_path):
+def test_sweep_command_csv(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     code = run(
         ["sweep", "--axis", "beta", "--values", "0,0.2", "--grid", "64",
@@ -218,6 +223,16 @@ def test_sweep_command_csv(tmp_path):
     first = lines[1].split(",")
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(2.0, abs=1e-6)
+    # the exact bytes of a solved and a failed row
+    rows = [SweepRow(0.5, EnergyBreakdown(1.25, -0.1, 0.3, 2.0), True, 1e-6, 7),
+            SweepRow(0.6, None, False, np.nan, 0, error="planted")]
+    monkeypatch.setattr(cli, "sweep", lambda *a: rows)
+    run(["sweep", "--axis", "beta", "--values", "0.5,0.6", "--out", str(out)])
+    assert out.read_bytes() == (
+        b"axis_value,total,kinetic,mixed,quartic,potential,converged,grad_norm,iterations\r\n"
+        b"0.5,3.45,1.25,-0.1,0.3,2.0,True,1e-06,7\r\n"
+        b"0.6,,,,,,False,nan,0\r\n"
+    )
 
 
 def test_unconverged_solve_and_sweep_report_on_stderr(tmp_path, capsys):
@@ -253,7 +268,24 @@ def test_sweep_row_error_exit_code_outranks_unconverged(tmp_path, monkeypatch, c
 
 
 def test_sweep_empty_values(capsys):
-    assert run(["sweep", "--axis", "beta", "--values", " "]) == EXIT_CONFIG
+    for values in (" ", "0.1,abc"):
+        assert run(["sweep", "--axis", "beta", "--values", values]) == EXIT_CONFIG
+        assert "error: argument --values" in capsys.readouterr().err
+
+
+def test_stalled_line_search_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    def stalled(*args, **kwargs):
+        raise SolverStalledError("no Armijo step")
+
+    monkeypatch.setattr(cli, "minimize", stalled)
+    assert run(["solve", "--beta", "0", "--grid", "32"]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err == "numerical failure: no Armijo step\n"
+    # a sweep keeps going past a stalled row and flags it
+    monkeypatch.setattr(solver, "minimize", stalled)
+    argv = ["sweep", "--axis", "beta", "--values", "0.5,0.6", "--grid", "32",
+            "--out", str(tmp_path / "sweep.csv")]
+    assert run(argv) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.count("not converged: no Armijo step") == 2
 
 
 def test_sweep_has_no_particle_number_axis(capsys):

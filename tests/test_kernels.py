@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from avfield.errors import ConfigurationError, DomainError
-from avfield.functional import FunctionalParams, StateFields, energy, gradient
+from avfield.functional import FunctionalParams, StateFields, energy, energy_and_gradient
 from avfield.grid import GridSpec, WaveFunction, inner
 from avfield.kernels import (
     SmearedCoulomb,
@@ -161,7 +161,7 @@ def test_gradient_contract_with_restricted_kernels():
     u = smooth_state(COARSE, rng)
     params = FunctionalParams(beta=0.9, R=0.15, trap=TrapPotential())
     kernels = restrict(kernels_for(FINE, params.R), FINE, COARSE)
-    G = gradient(StateFields(u, kernels), params)
+    G = energy_and_gradient(StateFields(u, kernels), params)[1]
     v = smooth_state(COARSE, rng).values
     eps = 1e-5
 
