@@ -81,11 +81,15 @@ def _trap_from_args(args) -> TrapPotential:
 
 
 def _solver_from_args(args) -> SolverConfig:
+    """The solver settings.  A cold start without ``--init`` is the Gaussian,
+    also in ``args``, so the report records it; a warm solve's stays None."""
+    if args.init is None and not getattr(args, "state_in", None):
+        args.init = "gaussian"
     return SolverConfig(
         max_iters=args.max_iters,
         tol_energy=args.tol_energy,
         tol_grad=args.tol_grad,
-        init=args.init,
+        init=args.init or "gaussian",
         seed=args.seed,
     )
 
@@ -227,11 +231,14 @@ def build_parser() -> argparse.ArgumentParser:
         add_trap_and_out(sp)
 
     def add_solver(sp, starts):
-        # ``starts`` holds --init, and in ``solve`` also --state-in, which excludes it
+        # ``starts`` holds --init, and in ``solve`` also --state-in, which excludes
+        # it; the default is None because argparse takes a value that is the
+        # default object itself (an interned "gaussian") for an absent option
         sp.add_argument("--max-iters", type=int, default=5000)
         sp.add_argument("--tol-energy", type=float, default=1e-10)
         sp.add_argument("--tol-grad", type=float, default=1e-5)
-        starts.add_argument("--init", choices=INITS, default="gaussian")
+        starts.add_argument("--init", choices=INITS, default=None,
+                            help="cold start (default gaussian)")
         sp.add_argument("--seed", type=int, default=None)
 
     sp = sub.add_parser("solve", help="minimize the average-field energy")

@@ -16,7 +16,11 @@ coordinates, in bulk, with targeted generators for every regime.
 Sums are evaluated from squared edge lengths: each edge vector is formed
 once, and since max(|v|, R)^2 = max(|v|^2, R^2) the R path takes no
 square root.  The naive sum cancels, so its round-off scales with
-(rho^2/area)^2 (see ``conditioning_ratio``).
+(rho^2/area)^2 (see ``conditioning_ratio``).  The batch kernels (cyclic
+sum, rho^2, circumradius) run CHUNK triangles at a time, so their plane
+temporaries stay in cache, and write each chunk's results into one output
+array; every expression is evaluated as on the whole batch, so the
+outputs do not depend on the chunking.
 
 The regime generators decide their edge tests from squared lengths too,
 comparing dx^2 + dy^2 with R^2; where the two lie within 1e-12 relative
@@ -40,6 +44,13 @@ from .errors import DomainError
 
 COLLINEAR_REL_TOL = 1e-14
 PROBE_CHUNK = 100_000  # triangles per probe draw; each chunk draws its own R
+# triangles per chunk of the batch kernels' and the generators' plane
+# arithmetic; chunk temporaries stay in cache and are reused by the allocator
+CHUNK = 1 << 14
+
+
+def _chunks(k: int):
+    return (slice(lo, lo + CHUNK) for lo in range(0, k, CHUNK))
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +88,25 @@ def batch_edges(tri: np.ndarray) -> np.ndarray:
     )
 
 
+def _by_chunk(kernel: Callable, tri: np.ndarray, outputs: int, *args) -> tuple:
+    """Run ``kernel(chunk, *outs, *args)`` over CHUNK triangles at a time;
+    the kernel writes its results into the chunk's slices of ``outputs``
+    arrays allocated once for the whole batch."""
+    outs = tuple(np.empty(len(tri)) for _ in range(outputs))
+    for s in _chunks(len(tri)):
+        kernel(tri[s], *(o[s] for o in outs), *args)
+    return outs
+
+
+def _rho_sq(tri: np.ndarray, out: np.ndarray) -> None:
+    x, y, z = np.moveaxis(tri, 0, -1)
+    la, lb, lc = (_dot(d, d) for d in map(_sub, (x, y, z), (y, z, x)))
+    np.add(la + lb, lc, out=out)
+
+
 def batch_rho_sq(tri: np.ndarray) -> np.ndarray:
     """rho^2 = |x-y|^2 + |y-z|^2 + |z-x|^2."""
-    x, y, z = np.moveaxis(tri, 0, -1)
-    return sum(_dot(d, d) for d in map(_sub, (x, y, z), (y, z, x)))
+    return _by_chunk(_rho_sq, tri, 1)[0]
 
 
 def batch_area(tri: np.ndarray) -> np.ndarray:
@@ -99,9 +125,7 @@ def conditioning_ratio(tri: np.ndarray) -> np.ndarray:
     return batch_area(tri) / np.maximum(batch_rho_sq(tri), 1e-300)
 
 
-def batch_circumradius(tri: np.ndarray) -> np.ndarray:
-    """|x-y| |y-z| |z-x| / (4 area); inf where the area is at most
-    COLLINEAR_REL_TOL times the longest squared edge."""
+def _circumradius(tri: np.ndarray, out: np.ndarray) -> None:
     x, y, z = np.moveaxis(tri, 0, -1)
     u, v = _sub(y, x), _sub(z, x)
     area, uu, vv = _area(u, v), _dot(u, u), _dot(v, v)
@@ -112,7 +136,43 @@ def batch_circumradius(tri: np.ndarray) -> np.ndarray:
     ok = area > COLLINEAR_REL_TOL * scale
     # two roots keep the product of three squared lengths in range
     rr = np.sqrt(uu * vv) * np.sqrt(ww)
-    return np.divide(rr, 4.0 * area, out=np.full(len(tri), np.inf), where=ok)
+    out.fill(np.inf)
+    np.divide(rr, 4.0 * area, out=out, where=ok)
+
+
+def batch_circumradius(tri: np.ndarray) -> np.ndarray:
+    """|x-y| |y-z| |z-x| / (4 area); inf where the area is at most
+    COLLINEAR_REL_TOL times the longest squared edge."""
+    return _by_chunk(_circumradius, tri, 1)[0]
+
+
+def _cyclic_sum(
+    tri: np.ndarray,
+    vals: np.ndarray,
+    rho_sq: np.ndarray,
+    R: float,
+    profile: Callable[[np.ndarray], np.ndarray] | None,
+) -> None:
+    x, y, z = np.moveaxis(tri, 0, -1)
+    a, c = _sub(x, y), _sub(z, x)
+    # vertex numerators, negated: (x-y).(x-z) = -a.c, (y-z).(y-x) = -b.a,
+    # (z-x).(z-y) = -c.b; each edge's squared length once its dots are done
+    num_x, b = _dot(a, c), _sub(y, z)
+    num_y, la = _dot(b, a), _dot(a, a)
+    del a
+    num_z, lc, lb = _dot(c, b), _dot(c, c), _dot(b, b)
+    del b, c
+    np.add(la + lb, lc, out=rho_sq)
+    if profile is not None:
+        la, lb, lc = (profile(np.sqrt(s)) ** 2 for s in (la, lb, lc))
+    elif R == 0.0 and not (la.all() and lb.all() and lc.all()):
+        raise DomainError("coincident points with R = 0")
+    else:
+        la, lb, lc = (np.maximum(s, R * R, out=s) for s in (la, lb, lc))
+    num_x /= la * lc
+    num_y /= lb * la
+    num_z /= lc * lb
+    np.negative(num_x + num_y + num_z, out=vals)
 
 
 def _cyclic_sum_and_rho_sq(
@@ -123,26 +183,7 @@ def _cyclic_sum_and_rho_sq(
     """The cyclic sum and rho^2, each edge vector formed once."""
     if R < 0:
         raise DomainError(f"need R >= 0, got {R}")
-    x, y, z = np.moveaxis(tri, 0, -1)
-    a, c = _sub(x, y), _sub(z, x)
-    # vertex numerators, negated: (x-y).(x-z) = -a.c, (y-z).(y-x) = -b.a,
-    # (z-x).(z-y) = -c.b; each edge's squared length once its dots are done
-    num_x, b = _dot(a, c), _sub(y, z)
-    num_y, la = _dot(b, a), _dot(a, a)
-    del a
-    num_z, lc, lb = _dot(c, b), _dot(c, c), _dot(b, b)
-    del b, c
-    rho_sq = la + lb + lc
-    if profile is not None:
-        la, lb, lc = (profile(np.sqrt(s)) ** 2 for s in (la, lb, lc))
-    elif R == 0.0 and not (la.all() and lb.all() and lc.all()):
-        raise DomainError("coincident points with R = 0")
-    else:
-        la, lb, lc = (np.maximum(s, R * R, out=s) for s in (la, lb, lc))
-    num_x /= la * lc
-    num_y /= lb * la
-    num_z /= lc * lb
-    return -(num_x + num_y + num_z), rho_sq
+    return _by_chunk(_cyclic_sum, tri, 2, R, profile)
 
 
 def batch_cyclic_sum(
@@ -153,7 +194,8 @@ def batch_cyclic_sum(
     """The cyclic sum for triangles of shape (m, 3, 2).
 
     ``profile`` replaces the regularized length |.|_R in the denominators;
-    it receives plain edge lengths and must return positive values.
+    it receives plain edge lengths, one chunk of them at a time, so it must
+    act elementwise, and must return positive values.
     """
     return _cyclic_sum_and_rho_sq(tri, R, profile)[0]
 
@@ -169,17 +211,10 @@ def batch_cyclic_sum(
 # above its inverse.
 SQUARED_BAND = 1e-12
 SQUARED_FLOOR = 1e-290
-# candidates per chunk of a generator's plane arithmetic; chunk
-# temporaries stay in cache and are reused by the allocator
-CHUNK = 1 << 14
 
 
 def random_triangles(rng: np.random.Generator, m: int) -> np.ndarray:
     return rng.uniform(-2.0, 2.0, size=(m, 3, 2))
-
-
-def _chunks(k: int):
-    return (slice(lo, lo + CHUNK) for lo in range(0, k, CHUNK))
 
 
 def compare_edge(

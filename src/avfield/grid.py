@@ -25,6 +25,9 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
+# source rows per block of padded_irfft's transpose copy
+TRANSPOSE_BLOCK = 32
+
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0
@@ -138,8 +141,13 @@ def padded_irfft(spec: GridSpec, fh: np.ndarray) -> np.ndarray:
     is read along contiguous rows.
     """
     n = spec.n
-    # the full column transforms are freed before the row pass allocates
-    rows = np.ascontiguousarray(np.fft.ifft(fh.T, axis=1)[:, :n].T)
+    cols = np.fft.ifft(fh.T, axis=1)
+    # the transpose is copied TRANSPOSE_BLOCK source rows at a time; a
+    # whole-array copy reads with a power-of-two stride that thrashes the cache
+    rows = np.empty((n, n + 1), dtype=cols.dtype)
+    for lo in range(0, n + 1, TRANSPOSE_BLOCK):
+        rows[:, lo : lo + TRANSPOSE_BLOCK] = cols[lo : lo + TRANSPOSE_BLOCK, :n].T
+    del cols  # the full column transforms are freed before the row pass allocates
     return np.fft.irfft(rows, n=2 * n, axis=1)[:, :n]
 
 

@@ -171,6 +171,25 @@ def test_state_in_excludes_init(tmp_path, capsys):
     assert "not allowed with argument" in capsys.readouterr().err
 
 
+def test_state_in_excludes_default_init_in_process(tmp_path, capsys):
+    # an in-process "gaussian" literal is the interned string a "gaussian"
+    # default would be, which argparse took for an absent --init
+    state = tmp_path / "u.state"
+    save_state(state, gaussian_state(GridSpec(n=32, half_width=8.0)), beta=0.0, R=0.0)
+    argv = ["solve", "--beta", "0", "--grid", "32", "--init", "gaussian", "--state-in", str(state)]
+    assert run(argv) == EXIT_CONFIG
+    assert "argument --state-in: not allowed with argument --init" in capsys.readouterr().err
+
+
+def test_solve_report_records_the_start_used(tmp_path):
+    state, cold, warm = tmp_path / "u.state", tmp_path / "cold.json", tmp_path / "warm.json"
+    common = ["solve", "--beta", "0", "--grid", "32", "--box", "8"]
+    assert run([*common, "--state-out", str(state), "--out", str(cold)]) == EXIT_OK
+    assert run([*common, "--state-in", str(state), "--out", str(warm)]) == EXIT_OK
+    assert json.loads(cold.read_text())["config"]["init"] == "gaussian"
+    assert json.loads(warm.read_text())["config"]["init"] is None
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from avfield import cli
 from avfield.errors import DomainError
 from avfield.geometry import (
+    CHUNK,
+    COLLINEAR_REL_TOL,
     batch_area,
     batch_circumradius,
     batch_cyclic_sum,
@@ -489,3 +491,75 @@ def test_rescale_matches_oracle_on_near_ties():
         target = rng.uniform(0.01, 1.0, size=len(tri))
         got = _rescale_to_max_edge(tri, target)
         assert got.tobytes() == oracle_rescale_to_max_edge(tri, target).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the batch kernels run CHUNK triangles at a time; these oracles are their
+# whole-array form, the same expressions in the same order, so every output
+# must be the same bytes whatever the chunk boundaries
+
+
+def plane_dot(p, q):
+    return p[0] * q[0] + p[1] * q[1]
+
+
+def oracle_rho_sq(tri):
+    x, y, z = np.moveaxis(tri, 0, -1)
+    la, lb, lc = (plane_dot(p - q, p - q) for p, q in ((x, y), (y, z), (z, x)))
+    return (la + lb) + lc
+
+
+def oracle_circumradius(tri):
+    x, y, z = np.moveaxis(tri, 0, -1)
+    u, v, w = y - x, z - x, z - y
+    area = 0.5 * np.abs(u[0] * v[1] - u[1] * v[0])
+    uu, vv, ww = plane_dot(u, u), plane_dot(v, v), plane_dot(w, w)
+    scale = np.maximum(np.maximum(uu, vv), np.maximum(ww, 1e-300))
+    ok = area > COLLINEAR_REL_TOL * scale
+    rr = np.sqrt(uu * vv) * np.sqrt(ww)
+    return np.divide(rr, 4.0 * area, out=np.full(len(tri), np.inf), where=ok)
+
+
+def oracle_cyclic_sum(tri, R, profile=None):
+    x, y, z = np.moveaxis(tri, 0, -1)
+    a, b, c = x - y, y - z, z - x
+    la, lb, lc = plane_dot(a, a), plane_dot(b, b), plane_dot(c, c)
+    if profile is not None:
+        la, lb, lc = (profile(np.sqrt(s)) ** 2 for s in (la, lb, lc))
+    else:
+        la, lb, lc = (np.maximum(s, R * R) for s in (la, lb, lc))
+    num_x = plane_dot(a, c) / (la * lc)
+    num_y = plane_dot(b, a) / (lb * la)
+    num_z = plane_dot(c, b) / (lc * lb)
+    return -(num_x + num_y + num_z)
+
+
+def chunk_boundary_triangles(m):
+    tri = random_triangles(np.random.default_rng([24, m]), m)
+    # coincident points, then near-collinear triangles, at each boundary
+    for lo in range(CHUNK - 2, m, CHUNK):
+        tri[lo : lo + 2, 2] = tri[lo : lo + 2, 0]
+        tri[lo + 2 : lo + 4, 2] = 2.0 * tri[lo + 2 : lo + 4, 1] - tri[lo + 2 : lo + 4, 0]
+    return tri
+
+
+@pytest.mark.parametrize("m", [0, 1, CHUNK - 1, CHUNK + 1, 2 * CHUNK + 3])
+def test_batch_kernels_match_whole_array_oracles(m):
+    tri = chunk_boundary_triangles(m)
+    got = batch_circumradius(tri)
+    assert got.shape == (m,) and got.dtype == np.float64
+    assert got.tobytes() == oracle_circumradius(tri).tobytes()
+    assert batch_rho_sq(tri).tobytes() == oracle_rho_sq(tri).tobytes()
+    assert batch_cyclic_sum(tri, 0.3).tobytes() == oracle_cyclic_sum(tri, 0.3).tobytes()
+    want = oracle_cyclic_sum(tri, 0.0, convex_profile)
+    assert batch_cyclic_sum(tri, 0.0, convex_profile).tobytes() == want.tobytes()
+    if m > CHUNK:
+        assert np.isinf(got[CHUNK - 2 : CHUNK]).all()  # the planted coincident points
+
+
+def test_coincident_points_in_a_later_chunk_raise():
+    tri = random_triangles(np.random.default_rng(25), CHUNK + 10)
+    tri[CHUNK + 5, 1] = tri[CHUNK + 5, 0]
+    assert np.isfinite(batch_cyclic_sum(tri[:CHUNK], 0.0)).all()
+    with pytest.raises(DomainError, match="coincident"):
+        batch_cyclic_sum(tri, 0.0)
