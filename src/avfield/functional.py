@@ -19,7 +19,7 @@ vector potential of a state from one ``StateFields``, which computes
 each of them at most once.  ``state_fields`` keeps it on the (immutable)
 state, keyed by the identity of its ``KernelSet``, so later calls on the
 state reuse it: after ``energy`` the gradient adds only its own
-transforms and the product-state energy one padded inverse.  Other
+transforms and the product-state energy none.  Other
 kernels replace it, and it is freed with the state.  ``energy`` and
 ``energy_and_gradient`` also accept a ``StateFields``; the solver's
 start (possibly a caller's warm start) and ``verify.evaluated`` (whose
@@ -159,20 +159,21 @@ def evaluate(
     W = -2 beta sum_c grad^perp w_R,c * (J + beta rho A)_c.
 
     Transforms per call for beta != 0: 3 n x n and 3 padded for the
-    energy, 6 and 6 with the gradient; for beta = 0 only the spectrum of
-    u, plus one inverse for the gradient.
+    energy; the gradient adds 3 padded and two one-axis derivatives, each
+    an fft/ifft pair along one axis of an n x n array (the work of one
+    n x n transform).  For beta = 0 only the spectrum of u, plus one
+    inverse for the gradient.
     """
     spec, v, rho = fields.spec, fields.values, fields.rho
     V = trap_values(spec, params.trap)
     kx, ky = spec.wavenumbers()
-    k2 = kx**2 + ky**2
     potential = float(integrate(spec, V * rho))
     beta = params.beta
     if beta == 0.0:
         bd = EnergyBreakdown(fields.kinetic, 0.0, 0.0, potential)
         if not with_gradient:
             return bd, None
-        return bd, np.fft.ifft2(k2 * fields.spectrum) + V * v
+        return bd, np.fft.ifft2((kx**2 + ky**2) * fields.spectrum) + V * v
 
     mixed = 2.0 * beta * fields.A_dot_J
     quartic = beta**2 * fields.rho_A2
@@ -181,20 +182,25 @@ def evaluate(
         return bd, None
     (ax, ay), (jx, jy) = fields.A, fields.J
 
-    # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))
-    # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint
-    # (the spectral product rule only holds up to aliasing).  -lap u and
-    # div(A u) share one inverse transform.
-    ux, uy = fields.grad
-    lin_hat = k2 * fields.spectrum
-    lin_hat += beta * (kx * np.fft.fft2(ax * v) + ky * np.fft.fft2(ay * v))
     # W from the gauge-covariant current J + beta rho A; its two
-    # convolutions are summed in Fourier space before one inverse
+    # convolutions are summed in Fourier space before one inverse.  W comes
+    # before G: G's temporaries alongside the padded ones raise the peak RSS
     gx, gy = fields.kernels.grad_w_fft
     w_hat = padded_rfft(spec, jy + beta * rho * ay) * gx
     w_hat -= padded_rfft(spec, jx + beta * rho * ax) * gy
     W = (-2.0 * beta * spec.h**2) * padded_irfft(spec, w_hat)
-    G = np.fft.ifft2(lin_hat)
+
+    # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))
+    # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint
+    # (the spectral product rule only holds up to aliasing).  The linear
+    # part -lap u - i beta div(A u) = -d_x(u_x + i beta A_x u)
+    # - d_y(u_y + i beta A_y u) reuses the cached gradient; each one-axis
+    # derivative is an fft/ifft pair along its own axis, equal to the 2-D
+    # spectral one with the same zeroed Nyquist mode.
+    ux, uy = fields.grad
+    ibv = 1j * beta * v
+    G = np.fft.ifft(-1j * kx * np.fft.fft(ux + ax * ibv, axis=1), axis=1)
+    G += np.fft.ifft(-1j * ky * np.fft.fft(uy + ay * ibv, axis=0), axis=0)
     G -= 1j * beta * (ax * ux + ay * uy)
     G += (beta**2 * (ax**2 + ay**2) + V + W) * v
     return bd, G
@@ -219,10 +225,11 @@ def energy_and_gradient(
 ) -> tuple[EnergyBreakdown, np.ndarray]:
     """Breakdown and first variation G of the energy; see ``evaluate``.
 
-    ``u`` may be a ``StateFields``, as in ``energy``.  After ``energy``
-    on the same state or fields this adds 3 n x n and 3 padded transforms
-    (one n x n at beta = 0) and returns what a fresh state would, bit for
-    bit.
+    ``u`` may be a ``StateFields``, as in ``energy``.  On a fresh state it
+    costs 3 n x n transforms, two one-axis derivative pairs and 6 padded
+    transforms.  After ``energy`` on the same state or fields it adds the
+    two derivative pairs and 3 padded transforms (one n x n at beta = 0)
+    and returns what a fresh state would, bit for bit.
     """
     return evaluate(state_fields(u, params.R), params, with_gradient=True)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .functional import FunctionalParams, StateFields, evaluate, state_fields
-from .grid import WaveFunction, convolve, integrate, padded_irfft
+from .grid import WaveFunction, convolve, integrate
 from .kernels import TrapPotential
 
 
@@ -55,19 +55,28 @@ class ManyBodyBreakdown:
 
 
 def _pair_term(fields: StateFields) -> float:
-    """int (|grad w_R|^2 * rho) rho from the state's padded density spectrum."""
+    """int (|grad w_R|^2 * rho) rho by Parseval over the state's padded density spectrum.
+
+    P = h^4/(2n)^2 sum_k w(kx) Re g_sq(k) |rho_hat(k)|^2 over the half
+    spectrum, where w is 1 for kx = 0 and kx = n and 2 for the columns
+    that also stand for their mirror images; no transform is made.
+    """
     spec = fields.spec
-    if fields.kernels.grad_w_sq_fft is None:
+    g_sq = fields.kernels.grad_w_sq_fft
+    if g_sq is None:
         raise DomainError("pair dispersion requires R > 0")
-    conv = padded_irfft(spec, fields.rho_hat * fields.kernels.grad_w_sq_fft) * spec.h**2
-    return float(integrate(spec, conv * fields.rho))
+    rho_hat = fields.rho_hat
+    terms = g_sq.real * (rho_hat.real**2 + rho_hat.imag**2)
+    total = 2.0 * terms.sum() - terms[:, 0].sum() - terms[:, -1].sum()
+    return float(total) * spec.h**4 / (2 * spec.n) ** 2
 
 
 def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBreakdown:
     """Exact per-particle energy of the N-fold product of u.
 
     It reads the fields that ``state_fields`` keeps on u: after
-    ``energy`` on u it adds one padded inverse transform (the pair term).
+    ``energy`` on u it costs no transform (the pair term is a sum over
+    the kept padded density spectrum).
     """
     fields = state_fields(u, params.R)
     fp = FunctionalParams(beta=params.beta, R=params.R, trap=params.trap)

@@ -14,6 +14,7 @@ from avfield.geometry import (
     batch_area,
     batch_circumradius,
     batch_cyclic_sum,
+    batch_cyclic_sum_and_rho_sq,
     batch_edges,
     batch_rho_sq,
     _rescale_to_max_edge,
@@ -555,6 +556,15 @@ def test_batch_kernels_match_whole_array_oracles(m):
     assert batch_cyclic_sum(tri, 0.0, convex_profile).tobytes() == want.tobytes()
     if m > CHUNK:
         assert np.isinf(got[CHUNK - 2 : CHUNK]).all()  # the planted coincident points
+
+
+@pytest.mark.parametrize("m", [1, CHUNK + 1])
+def test_cyclic_sum_and_rho_sq_match_the_single_kernels(m):
+    # the verify suite takes both from one pass; they are the bytes of the two kernels
+    tri = chunk_boundary_triangles(m)
+    vals, rho_sq = batch_cyclic_sum_and_rho_sq(tri, 0.3)
+    assert vals.tobytes() == batch_cyclic_sum(tri, 0.3).tobytes()
+    assert rho_sq.tobytes() == batch_rho_sq(tri).tobytes()
 
 
 def test_coincident_points_in_a_later_chunk_raise():

@@ -4,7 +4,7 @@ import pytest
 from avfield.errors import DomainError
 from avfield.fields import density, vector_potential
 from avfield.functional import FunctionalParams, energy
-from avfield.grid import GridSpec, WaveFunction, gaussian_state, integrate
+from avfield.grid import GridSpec, WaveFunction, convolve, gaussian_state, integrate
 from avfield.kernels import TrapPotential, kernels_for
 from avfield.manybody import (
     ManyBodyParams,
@@ -63,6 +63,23 @@ def test_coefficients_are_exact(spec, trap):
             beta**2 * (N - 2) / (N - 1) * quad, rel=1e-14
         )
         assert bd.singular == pytest.approx(beta**2 / (N - 1) * disp, rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("R", [0.1, 0.4])
+def test_pair_term_matches_real_space_route(trap, n, R):
+    # the pair term is a Parseval sum over the padded density spectrum; the
+    # real-space route convolves rho with |grad w_R|^2 and integrates
+    spec = GridSpec(n=n, half_width=8.0)
+    # white noise under the envelope puts weight in every column of the
+    # half spectrum, the kx = 0 and kx = n columns included
+    noise = np.random.default_rng(5).normal(size=(n, n))
+    u = WaveFunction(spec, phased_state(spec, 5).values * (1.0 + 0.5 * noise)).normalized()
+    rho = density(u)
+    oracle = float(integrate(spec, convolve(spec, rho, kernels_for(spec, R).grad_w_sq_fft) * rho))
+    # at N = 2 and beta = 1 the singular term is the pair term itself
+    pair = product_state_energy(u, ManyBodyParams(N=2, beta=1.0, R=R, trap=trap)).singular
+    assert pair == pytest.approx(oracle, rel=1e-13)
 
 
 def test_gap_scales_as_inverse_n(spec, trap):

@@ -264,12 +264,13 @@ def test_accepted_trial_is_evaluated_once(spec, trap, monkeypatch):
     # the initial state and each line-search trial, nothing else
     assert calls["build"] == 1 + calls["line_search"]
     # 3 n x n and 3 padded transforms for the energy of each state (the
-    # initial one and the trials) and 3 more for each gradient (the initial
-    # one and one per accepted step); the preconditioner uses none
+    # initial one and the trials), and for each gradient (the initial one
+    # and one per accepted step) 3 padded and two one-axis derivative
+    # pairs, which count as 2 n x n; the preconditioner uses none
     states = 1 + calls["line_search"]
     gradients = res.iterations + 1
     assert pad <= 3 * states + 3 * gradients
-    assert n2 <= 3 * states + 3 * gradients
+    assert n2 <= 3 * states + 2 * gradients
 
 
 def test_preconditioner_inverts_the_harmonic_hamiltonian(spec, trap):
