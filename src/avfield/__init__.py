@@ -8,7 +8,6 @@ from .errors import (
     DomainError,
     FormatError,
     NumericalFailureError,
-    SolverStalledError,
 )
 from .grid import GridSpec, WaveFunction, gaussian_state
 from .kernels import SmearedCoulomb, TrapPotential, eta0, lp_norm_grad_w
@@ -29,7 +28,6 @@ __all__ = [
     "DomainError",
     "FormatError",
     "NumericalFailureError",
-    "SolverStalledError",
     "GridSpec",
     "WaveFunction",
     "gaussian_state",

@@ -9,9 +9,10 @@ starts cold from ``--init`` or warm from the state file ``--state-in``,
 never from both.  Exit codes: 0 success, 1 configuration error (an
 argparse usage error too, such as ``verify --samples`` below 1, a
 ``sweep --values`` that is not a list of numbers or ``--init`` with
-``--state-in``, and a file that cannot be read or written), 2 numerical
-failure (a stalled line search too), 3 invariant violation found by
-verify, 4 a solve or a sweep row stopped unconverged.
+``--state-in``, a ``--trap-c`` or ``--trap-s`` other than its default
+without ``--trap power``, and a file that cannot be read or written), 2
+numerical failure (a stalled line search too), 3 invariant violation
+found by verify, 4 a solve or a sweep row stopped unconverged.
 An unconverged solve or sweep row is also reported on stderr (and in a
 solve report's ``warnings``), after its report, state and CSV are
 written.  A sweep row that raised a numerical failure makes the sweep
@@ -75,8 +76,8 @@ def _grid_from_args(args) -> GridSpec:
 
 
 def _trap_from_args(args) -> TrapPotential:
-    if args.trap == "harmonic":
-        return TrapPotential(c=1.0, s=2.0)
+    if args.trap == "harmonic" and (args.trap_c, args.trap_s) != (1.0, 2.0):
+        raise ConfigurationError("--trap-c and --trap-s need --trap power")
     return TrapPotential(c=args.trap_c, s=args.trap_s)
 
 
@@ -87,7 +88,6 @@ def _solver_from_args(args) -> SolverConfig:
         args.init = "gaussian"
     return SolverConfig(
         max_iters=args.max_iters,
-        tol_energy=args.tol_energy,
         tol_grad=args.tol_grad,
         init=args.init or "gaussian",
         seed=args.seed,
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
         # it; the default is None because argparse takes a value that is the
         # default object itself (an interned "gaussian") for an absent option
         sp.add_argument("--max-iters", type=int, default=5000)
-        sp.add_argument("--tol-energy", type=float, default=1e-10)
         sp.add_argument("--tol-grad", type=float, default=1e-5)
         starts.add_argument("--init", choices=INITS, default=None,
                             help="cold start (default gaussian)")

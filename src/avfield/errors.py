@@ -17,9 +17,5 @@ class NumericalFailureError(AvfieldError):
     """A computation met non-finite values or could not proceed."""
 
 
-class SolverStalledError(NumericalFailureError):
-    """Line search failed to find an acceptable step."""
-
-
 class FormatError(AvfieldError):
     """Malformed state file."""

@@ -175,30 +175,21 @@ def _cyclic_sum(
     np.negative(num_x + num_y + num_z, out=vals)
 
 
-def batch_cyclic_sum_and_rho_sq(
-    tri: np.ndarray,
-    R: float,
-    profile: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The cyclic sum, as ``batch_cyclic_sum``, and rho^2, as
-    ``batch_rho_sq``, each edge vector formed once."""
-    if R < 0:
-        raise DomainError(f"need R >= 0, got {R}")
-    return _by_chunk(_cyclic_sum, tri, 2, R, profile)
-
-
 def batch_cyclic_sum(
     tri: np.ndarray,
     R: float,
     profile: Callable[[np.ndarray], np.ndarray] | None = None,
-) -> np.ndarray:
-    """The cyclic sum for triangles of shape (m, 3, 2).
+) -> tuple[np.ndarray, np.ndarray]:
+    """The cyclic sum for triangles of shape (m, 3, 2), and rho^2, as
+    ``batch_rho_sq``, each edge vector formed once.
 
     ``profile`` replaces the regularized length |.|_R in the denominators;
     it receives plain edge lengths, one chunk of them at a time, so it must
     act elementwise, and must return positive values.
     """
-    return batch_cyclic_sum_and_rho_sq(tri, R, profile)[0]
+    if R < 0:
+        raise DomainError(f"need R >= 0, got {R}")
+    return _by_chunk(_cyclic_sum, tri, 2, R, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +356,7 @@ def counterexample_probe(
     for done in range(0, samples, PROBE_CHUNK):
         tri = random_triangles(rng, min(PROBE_CHUNK, samples - done))
         R = max(float(rng.uniform(0.0, 1.0)), 1e-9) if radial_profile is None else 0.0
-        vals, scale = batch_cyclic_sum_and_rho_sq(tri, R, radial_profile)
+        vals, scale = batch_cyclic_sum(tri, R, radial_profile)
         bad = vals < -1e-12 / np.maximum(scale, 1e-12)
         violations += int(bad.sum())
         i = int(np.argmin(vals))

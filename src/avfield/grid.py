@@ -190,14 +190,14 @@ class WaveFunction:
         object.__setattr__(self, "values", values)
 
     @cached_property
-    def l2_norm(self) -> float:
+    def mass(self) -> float:
         """Discrete L^2 mass h^2 sum |u|^2, computed on first use."""
         return float(np.sum(np.abs(self.values) ** 2) * self.grid.h**2)
 
     def normalized(self) -> "WaveFunction":
-        if self.l2_norm == 0.0:
+        if self.mass == 0.0:
             raise ConfigurationError("cannot normalize the zero field")
-        return WaveFunction(self.grid, self.values / np.sqrt(self.l2_norm))
+        return WaveFunction(self.grid, self.values / np.sqrt(self.mass))
 
     def boundary_mass(self) -> float:
         """Largest density sample on the outermost grid ring (decay check)."""

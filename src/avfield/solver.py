@@ -79,7 +79,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError, SolverStalledError
+from .errors import ConfigurationError, NumericalFailureError
 from .grid import GridSpec, WaveFunction, gaussian_state, inner, l2_norm
 from .functional import (
     EnergyBreakdown,
@@ -96,6 +96,7 @@ MAX_BACKTRACKS = 60
 STEP0 = 0.1  # the first line search's trial step
 BACKTRACK_SHRINK = 0.5
 ARMIJO_C = 1e-4
+TOL_ENERGY = 1e-10  # relative energy drop that confirms convergence
 PERTURBATION = 0.1  # amplitude of the ``random`` init's plane waves
 # amplitude of the wave packet that breaks the Gaussian starts' symmetry
 SYMMETRY_SEED = 1e-10
@@ -107,14 +108,13 @@ INITS = ("gaussian", "gaussian_vortex", "random")  # the starts of a cold solve
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
-    tol_energy: float = 1e-10
     tol_grad: float = 1e-7
     init: str = "gaussian"  # one of INITS
     seed: int | None = None
 
     def __post_init__(self):
-        if self.tol_energy <= 0 or self.tol_grad <= 0:
-            raise ConfigurationError("tolerances must be positive")
+        if self.tol_grad <= 0:
+            raise ConfigurationError("tol_grad must be positive")
         if self.init not in INITS:
             raise ConfigurationError(f"unknown init {self.init!r}")
 
@@ -355,7 +355,7 @@ def _minimize_level(
             if len(history) >= 2
             else np.inf
         )
-        if grad_norm < cfg.tol_grad and (it == 0 or rel_drop < cfg.tol_energy):
+        if grad_norm < cfg.tol_grad and (it == 0 or rel_drop < TOL_ENERGY):
             converged = True
             break
         if stagnant >= 3:
@@ -397,10 +397,10 @@ def _minimize_level(
             tau *= BACKTRACK_SHRINK
         if not accepted:
             # at numerical stationarity the line search cannot decrease further
-            if grad_norm < 10.0 * cfg.tol_grad or rel_drop < cfg.tol_energy:
+            if grad_norm < 10.0 * cfg.tol_grad or rel_drop < TOL_ENERGY:
                 converged = grad_norm < cfg.tol_grad
                 break
-            raise SolverStalledError(
+            raise NumericalFailureError(
                 f"no Armijo step after {MAX_BACKTRACKS} halvings "
                 f"(grad norm {grad_norm:.3e})"
             )

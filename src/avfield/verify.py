@@ -184,7 +184,7 @@ def geometry_suite(samples: int, seed: int) -> dict:
     for regime in ("all_long", "all_short", "two_short", "one_short", "mixed"):
         R = float(rng.uniform(0.1, 0.6))
         tri = geometry.regime_triangles(rng, max(samples // 5, 1), R, regime)
-        vals, rho_sq = geometry.batch_cyclic_sum_and_rho_sq(tri, R)
+        vals, rho_sq = geometry.batch_cyclic_sum(tri, R)
         ratio = vals * rho_sq
         per_regime[regime] = {"R": R, "min_cyclic_sum": float(vals.min()),
                               "max_upper_ratio": float(ratio.max())}

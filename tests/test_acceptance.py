@@ -256,7 +256,7 @@ def test_criterion_08_geometry_suite():
     for regime in ("mixed", "all_long", "all_short", "two_short", "one_short"):
         R = 0.3
         tri = regime_triangles(rng, m, R, regime)
-        vals = batch_cyclic_sum(tri, R)
+        vals, rho_sq = batch_cyclic_sum(tri, R)
         e = np.maximum(batch_edges(tri), R)
         scale = (
             1.0 / (e[:, 0] ** 2 * e[:, 2] ** 2)
@@ -274,7 +274,7 @@ def test_criterion_08_geometry_suite():
             details.append(f"all-long identity err={ident:.1e}")
         if regime == "all_short":
             ident = float(
-                np.abs(vals * 2.0 * R**4 / batch_rho_sq(tri) - 1.0).max()
+                np.abs(vals * 2.0 * R**4 / rho_sq - 1.0).max()
             )
             ok &= ident < 1e-10
             details.append(f"all-short identity err={ident:.1e}")

@@ -15,7 +15,7 @@ from avfield.cli import (
     main,
 )
 from avfield import solver
-from avfield.errors import FormatError, SolverStalledError
+from avfield.errors import FormatError, NumericalFailureError
 from avfield.functional import EnergyBreakdown
 from avfield.grid import GridSpec, WaveFunction, gaussian_state
 from avfield.solver import SweepRow
@@ -122,6 +122,22 @@ def test_solve_command_oscillator(tmp_path, capsys):
     assert report["converged"] is True
     assert report["config"]["version"] == __version__
     assert (tmp_path / "hist.csv").read_text().startswith("iteration,energy")
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "energy"])
+def test_harmonic_trap_refuses_power_law_settings(command, tmp_path, spec, capsys):
+    state = tmp_path / "u.state"
+    save_state(state, gaussian_state(spec), beta=0.0, R=0.1)
+    argv = {
+        "solve": ["solve", "--beta", "0", "--grid", "32", "--tol-grad", "1e-4"],
+        "sweep": ["sweep", "--axis", "beta", "--values", "0", "--grid", "32"],
+        "energy": ["energy", str(state), "--N", "2"],
+    }[command] + ["--out", str(tmp_path / "report")]
+    for trap in (["--trap-s", "4"], ["--trap-c", "2"], ["--trap", "harmonic", "--trap-s", "4"]):
+        assert run(argv + trap) == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --trap-c and --trap-s need --trap power\n"
+    # the defaults, spelled out, are the harmonic trap
+    assert run(argv + ["--trap-c", "1", "--trap-s", "2"]) == EXIT_OK
 
 
 def test_solve_report_lists_level_iterations(tmp_path):
@@ -294,7 +310,7 @@ def test_sweep_empty_values(capsys):
 
 def test_stalled_line_search_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     def stalled(*args, **kwargs):
-        raise SolverStalledError("no Armijo step")
+        raise NumericalFailureError("no Armijo step")
 
     monkeypatch.setattr(cli, "minimize", stalled)
     assert run(["solve", "--beta", "0", "--grid", "32"]) == EXIT_NUMERICAL
@@ -441,7 +457,12 @@ def test_verify_geometry_calls_through_the_geometry_module(tmp_path, monkeypatch
 
     wrap("counterexample_probe")
     wrap("regime_triangles")
+    wrap("batch_cyclic_sum")
+    monkeypatch.setattr(geometry, "PROBE_CHUNK", 200)
     out = tmp_path / "geometry.json"
     assert run(["verify", "geometry", "--samples", "500", "--out", str(out)]) == EXIT_OK
-    # the regularized and the convex-profile probe, then one batch per regime
-    assert calls == ["counterexample_probe"] * 2 + ["regime_triangles"] * 5
+    # the regularized and the convex-profile probe, each summing its three
+    # chunks by the traced name, then one batch per regime summed the same way
+    probe = ["counterexample_probe"] + ["batch_cyclic_sum"] * 3
+    regime = ["regime_triangles", "batch_cyclic_sum"]
+    assert calls == probe * 2 + regime * 5

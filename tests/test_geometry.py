@@ -14,7 +14,6 @@ from avfield.geometry import (
     batch_area,
     batch_circumradius,
     batch_cyclic_sum,
-    batch_cyclic_sum_and_rho_sq,
     batch_edges,
     batch_rho_sq,
     _rescale_to_max_edge,
@@ -36,17 +35,17 @@ EQUILATERAL = one([0.0, 0.0], [1.0, 0.0], [0.5, np.sqrt(3.0) / 2.0])
 
 def test_equilateral_all_long():
     # side 1, R = 0.1: every edge is long, sum = 1/(2 RR^2) with RR = 3^{-1/2}
-    assert batch_cyclic_sum(EQUILATERAL, 0.1)[0] == pytest.approx(1.5, abs=1e-12)
+    assert batch_cyclic_sum(EQUILATERAL, 0.1)[0][0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_equilateral_all_short():
     small = one([0.0, 0.0], [0.1, 0.0], [0.05, 0.1 * np.sqrt(3.0) / 2.0])
     # rho^2 = 3 * 0.01, sum = rho^2 / (2 R^4) with R = 1
-    assert batch_cyclic_sum(small, 1.0)[0] == pytest.approx(0.015, abs=1e-12)
+    assert batch_cyclic_sum(small, 1.0)[0][0] == pytest.approx(0.015, abs=1e-12)
 
 
 def test_pair_collapse_regularized():
-    val = batch_cyclic_sum(one([0.3, 0.4], [0.3, 0.4], [1.0, 0.0]), 0.5)[0]
+    val = batch_cyclic_sum(one([0.3, 0.4], [0.3, 0.4], [1.0, 0.0]), 0.5)[0][0]
     assert np.isfinite(val)
     assert val >= 0.0
 
@@ -78,7 +77,7 @@ def test_collinear_flagged_not_rejected():
 
 
 def test_verify_sandwich_equilateral():
-    s = batch_cyclic_sum(EQUILATERAL, 0.1)[0]
+    s = batch_cyclic_sum(EQUILATERAL, 0.1)[0][0]
     assert s >= 0.0
     assert s * batch_rho_sq(EQUILATERAL)[0] == pytest.approx(4.5, abs=1e-12)  # the sharp value
 
@@ -97,14 +96,14 @@ coords = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
 @settings(max_examples=200, deadline=None)
 def test_euclidean_and_relabeling_invariance(p, q, r, R, angle, shift):
     t = one(p, q, r)
-    base = batch_cyclic_sum(t, R)[0]
+    base = batch_cyclic_sum(t, R)[0][0]
     assert base >= -1e-10 * (1.0 + 1.0 / R**4)
     c, s = np.cos(angle), np.sin(angle)
     rot = np.array([[c, -s], [s, c]])
     moved = t @ rot.T + np.asarray(shift)
-    assert batch_cyclic_sum(moved, R)[0] == pytest.approx(base, rel=1e-9, abs=1e-9)
+    assert batch_cyclic_sum(moved, R)[0][0] == pytest.approx(base, rel=1e-9, abs=1e-9)
     relabeled = t[:, [2, 0, 1]]
-    assert batch_cyclic_sum(relabeled, R)[0] == pytest.approx(base, rel=1e-12, abs=1e-12)
+    assert batch_cyclic_sum(relabeled, R)[0][0] == pytest.approx(base, rel=1e-12, abs=1e-12)
 
 
 def test_all_long_closed_form():
@@ -113,7 +112,7 @@ def test_all_long_closed_form():
     # the identity is exact; float64 evaluation of the naive sum loses
     # digits quadratically in rho^2/area, so keep conditioned triangles
     tri = tri[conditioning_ratio(tri) > 5e-3]
-    vals = batch_cyclic_sum(tri, 0.1)
+    vals = batch_cyclic_sum(tri, 0.1)[0]
     rr = batch_circumradius(tri)
     assert len(tri) > 4000
     assert np.abs(vals * 2.0 * rr**2 - 1.0).max() < 1e-10
@@ -124,7 +123,7 @@ def test_all_short_closed_form():
     R = 0.3
     tri = regime_triangles(rng, 5000, R, "all_short")
     assert (batch_edges(tri).max(axis=1) <= R).all()
-    vals = batch_cyclic_sum(tri, R)
+    vals = batch_cyclic_sum(tri, R)[0]
     pred = batch_rho_sq(tri) / (2.0 * R**4)
     assert np.abs(vals * 2.0 * R**4 / batch_rho_sq(tri) - 1.0).max() < 1e-10
     assert np.allclose(vals, pred)
@@ -136,7 +135,7 @@ def test_two_short_closed_form():
     tri = regime_triangles(rng, 5000, R, "two_short")
     e = batch_edges(tri)
     assert ((e[:, 0] <= R) & (e[:, 1] <= R) & (e[:, 2] >= R)).all()
-    vals = batch_cyclic_sum(tri, R)
+    vals = batch_cyclic_sum(tri, R)[0]
     # common-denominator identity: numerator |x-z|^2 (R^2 + (y-z).(y-x))
     x, y, z = tri[:, 0], tri[:, 1], tri[:, 2]
     num = (e[:, 2] ** 2) * (R**2 + ((y - z) * (y - x)).sum(axis=1))
@@ -147,7 +146,7 @@ def test_two_short_closed_form():
 def test_one_short_regime_nonnegative():
     rng = np.random.default_rng(8)
     tri = regime_triangles(rng, 5000, 0.3, "one_short")
-    assert batch_cyclic_sum(tri, 0.3).min() >= -1e-12
+    assert batch_cyclic_sum(tri, 0.3)[0].min() >= -1e-12
 
 
 def test_unknown_regime():
@@ -169,7 +168,7 @@ def test_probe_convex_profile_violates():
     # the recorded worst case replays to the same negative value
     replay = batch_cyclic_sum(
         rep.worst_triangle[np.newaxis], 0.0, profile=lambda r: np.exp(r**2 / 2.0)
-    )[0]
+    )[0][0]
     assert replay == pytest.approx(rep.min_value)
 
 
@@ -236,7 +235,7 @@ def test_cyclic_sum_matches_hypot_formula(regime, profile):
     R = 0.3
     tri = regime_triangles(np.random.default_rng(21), 20_000, R, regime)
     want, size = hypot_cyclic_sum(tri, R, profile)
-    got = batch_cyclic_sum(tri, R, profile=profile)
+    got = batch_cyclic_sum(tri, R, profile=profile)[0]
     assert np.all(np.abs(got - want) <= 1e-12 * size)
 
 
@@ -275,7 +274,7 @@ def test_batch_domain_errors():
         batch_cyclic_sum(tri, 0.0)
     with pytest.raises(DomainError):
         batch_cyclic_sum(random_triangles(np.random.default_rng(0), 4), -0.1)
-    assert np.isfinite(batch_cyclic_sum(tri, 0.1)).all()
+    assert np.isfinite(batch_cyclic_sum(tri, 0.1)[0]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -551,25 +550,26 @@ def test_batch_kernels_match_whole_array_oracles(m):
     assert got.shape == (m,) and got.dtype == np.float64
     assert got.tobytes() == oracle_circumradius(tri).tobytes()
     assert batch_rho_sq(tri).tobytes() == oracle_rho_sq(tri).tobytes()
-    assert batch_cyclic_sum(tri, 0.3).tobytes() == oracle_cyclic_sum(tri, 0.3).tobytes()
+    assert batch_cyclic_sum(tri, 0.3)[0].tobytes() == oracle_cyclic_sum(tri, 0.3).tobytes()
     want = oracle_cyclic_sum(tri, 0.0, convex_profile)
-    assert batch_cyclic_sum(tri, 0.0, convex_profile).tobytes() == want.tobytes()
+    assert batch_cyclic_sum(tri, 0.0, convex_profile)[0].tobytes() == want.tobytes()
     if m > CHUNK:
         assert np.isinf(got[CHUNK - 2 : CHUNK]).all()  # the planted coincident points
 
 
 @pytest.mark.parametrize("m", [1, CHUNK + 1])
 def test_cyclic_sum_and_rho_sq_match_the_single_kernels(m):
-    # the verify suite takes both from one pass; they are the bytes of the two kernels
+    # the sum and rho^2 come from one pass; they are the bytes of the oracle
+    # and of the rho^2 kernel
     tri = chunk_boundary_triangles(m)
-    vals, rho_sq = batch_cyclic_sum_and_rho_sq(tri, 0.3)
-    assert vals.tobytes() == batch_cyclic_sum(tri, 0.3).tobytes()
+    vals, rho_sq = batch_cyclic_sum(tri, 0.3)
+    assert vals.tobytes() == oracle_cyclic_sum(tri, 0.3).tobytes()
     assert rho_sq.tobytes() == batch_rho_sq(tri).tobytes()
 
 
 def test_coincident_points_in_a_later_chunk_raise():
     tri = random_triangles(np.random.default_rng(25), CHUNK + 10)
     tri[CHUNK + 5, 1] = tri[CHUNK + 5, 0]
-    assert np.isfinite(batch_cyclic_sum(tri[:CHUNK], 0.0)).all()
+    assert np.isfinite(batch_cyclic_sum(tri[:CHUNK], 0.0)[0]).all()
     with pytest.raises(DomainError, match="coincident"):
         batch_cyclic_sum(tri, 0.0)

@@ -145,7 +145,7 @@ def test_padded_transforms_are_the_unpruned_numpy_ones(n):
 
 def test_wavefunction_normalization(spec):
     u = gaussian_state(spec, width=1.3)
-    assert u.l2_norm == pytest.approx(1.0, abs=1e-14)
+    assert u.mass == pytest.approx(1.0, abs=1e-14)
     with pytest.raises(ConfigurationError):
         WaveFunction(spec, np.zeros((64, 64), dtype=complex)).normalized()
     with pytest.raises(ConfigurationError):

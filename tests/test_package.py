@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import avfield
 
 
@@ -8,3 +11,13 @@ def test_public_names_resolve():
     namespace = {}
     exec("from avfield import *", namespace)  # raises on a stale export
     assert set(avfield.__all__) <= set(namespace)
+
+
+def test_traced_layer_functions_resolve():
+    # the benchmark's tracer wraps these by name; a vanished one reads as absent
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module, name, *_ in tracing.LAYER_FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
