@@ -9,8 +9,10 @@ starts cold from ``--init`` or warm from the state file ``--state-in``,
 never from both.  Exit codes: 0 success, 1 configuration error (an
 argparse usage error too, such as ``verify --samples`` below 1, a
 ``sweep --values`` that is not a list of numbers or ``--init`` with
-``--state-in``, a ``--trap-c`` or ``--trap-s`` other than its default
-without ``--trap power``, and a file that cannot be read or written), 2
+``--state-in``, a ``--trap-c`` other than 1 or a ``--trap-s`` or
+``sweep --axis s`` value other than 2 without ``--trap power``, which a
+sweep refuses before its first solve, and a file that cannot be read or
+written), 2
 numerical failure (a stalled line search too), 3 invariant violation
 found by verify, 4 a solve or a sweep row stopped unconverged.
 An unconverged solve or sweep row is also reported on stderr (and in a
@@ -81,6 +83,13 @@ def _trap_from_args(args) -> TrapPotential:
     return TrapPotential(c=args.trap_c, s=args.trap_s)
 
 
+def _params_from_args(args, **row) -> FunctionalParams:
+    """The functional of ``solve``, or of the sweep row whose axis value
+    ``row`` sets, such as ``trap_s=4.0``; each row's trap is checked."""
+    args = argparse.Namespace(**{**vars(args), **row})
+    return FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
+
+
 def _solver_from_args(args) -> SolverConfig:
     """The solver settings.  A cold start without ``--init`` is the Gaussian,
     also in ``args``, so the report records it; a warm solve's stays None."""
@@ -105,7 +114,7 @@ def _resolved_config(args, extra: dict | None = None) -> dict:
 def cmd_solve(args) -> int:
     _check_output_dirs(args.out, args.state_out, args.history_out)
     spec = _grid_from_args(args)
-    params = FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
+    params = _params_from_args(args)
     warm = load_state(args.state_in, expected=spec)[0] if args.state_in else None
     res = minimize(params, spec, _solver_from_args(args), warm_start=warm)
     for warning in res.warnings:
@@ -137,29 +146,31 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     _check_output_dirs(args.out)
     spec = _grid_from_args(args)
-    params = FunctionalParams(beta=args.beta, R=args.R, trap=_trap_from_args(args))
-    rows = sweep(args.axis, args.values, params, spec, _solver_from_args(args))
+    field = "trap_s" if args.axis == "s" else args.axis
+    problems = [_params_from_args(args, **{field: value}) for value in args.values]
+    rows = sweep(problems, spec, _solver_from_args(args))
+    failed = [isinstance(row, NumericalFailureError) for row in rows]
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         w = csv.writer(sink)
         w.writerow(SWEEP_COLUMNS)
-        for row in rows:
-            bd = row.breakdown
-            terms = [repr(getattr(bd, name)) if bd else "" for name in SWEEP_COLUMNS[1:6]]
-            w.writerow(
-                [repr(row.axis_value), *terms, row.converged, repr(row.grad_norm), row.iterations]
-            )
+        for value, row, error in zip(args.values, rows, failed):
+            if error:
+                cells = ["", "", "", "", "", False, "nan", 0]
+            else:
+                terms = [repr(getattr(row.breakdown, name)) for name in SWEEP_COLUMNS[1:6]]
+                cells = [*terms, row.converged, repr(row.grad_norm), row.iterations]
+            w.writerow([repr(value), *cells])
     finally:
         if args.out:
             sink.close()
-    for row in rows:
-        if not row.converged:
-            why = row.error or (
+    for value, row, error in zip(args.values, rows, failed):
+        if error or not row.converged:
+            why = row if error else (
                 f"{row.iterations} iterations, projected gradient norm {row.grad_norm:.3e}"
             )
-            print(f"warning: {args.axis}={row.axis_value!r} not converged: {why}",
-                  file=sys.stderr)
-    if any(row.error for row in rows):
+            print(f"warning: {args.axis}={value!r} not converged: {why}", file=sys.stderr)
+    if any(failed):
         return EXIT_NUMERICAL
     return EXIT_OK if all(row.converged for row in rows) else EXIT_UNCONVERGED
 

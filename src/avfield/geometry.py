@@ -334,7 +334,6 @@ class ProbeReport:
     violations: int
     min_value: float
     worst_triangle: np.ndarray | None
-    seed: int
 
 
 def counterexample_probe(
@@ -369,5 +368,4 @@ def counterexample_probe(
         violations=violations,
         min_value=min_value,
         worst_triangle=worst,
-        seed=seed,
     )

@@ -137,8 +137,6 @@ class KernelSet:
 
 def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
     """Sample grad w_R on the 2n x 2n padded grid and keep the FFTs."""
-    if R < 0:
-        raise DomainError(f"smearing radius must be >= 0, got R={R}")
     a = spec.padded_axis()
     x, y = np.meshgrid(a, a, indexing="xy")
     g = SmearedCoulomb(R).grad_w(np.stack([x, y], axis=-1))

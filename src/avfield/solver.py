@@ -74,7 +74,7 @@ each coarse grid, which cannot resolve R < h, it spent 18, 11 and 6
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -447,35 +447,12 @@ def _minimize_level(
     )
 
 
-@dataclass
-class SweepRow:
-    axis_value: float
-    breakdown: EnergyBreakdown | None
-    converged: bool
-    grad_norm: float
-    iterations: int
-    error: str | None = None
-    u: WaveFunction | None = None  # the row's minimizer
-
-
-def _apply_axis(params: FunctionalParams, axis: str, value: float) -> FunctionalParams:
-    if axis == "beta":
-        return replace(params, beta=value)
-    if axis == "R":
-        return replace(params, R=value)
-    if axis == "s":
-        return replace(params, trap=replace(params.trap, s=value))
-    raise ConfigurationError(f"unknown sweep axis {axis!r}")
-
-
 def sweep(
-    axis: str,
-    values: list[float],
-    params: FunctionalParams,
+    problems: list[FunctionalParams],
     spec: GridSpec,
     cfg: SolverConfig = SolverConfig(),
-) -> list[SweepRow]:
-    """Minimize along one parameter axis, warm-starting in order.
+) -> list[SolveResult | NumericalFailureError]:
+    """Minimize each problem in order, warm-starting each from the last.
 
     The first row is a cold solve, so it starts on coarser grids (see
     ``minimize``); the others start from their predecessor's state.
@@ -484,14 +461,14 @@ def sweep(
     energy.  A converged row is kept even when it lies above its
     predecessor: the energy rises along many axes (growing beta,
     shrinking R), so that comparison would re-solve nearly every row.
-    Per-row failures are flagged and the sweep continues.
+    A row that raises is returned as its ``NumericalFailureError``, the
+    sweep continues and the next row starts cold.
     """
-    if not values:
-        raise ConfigurationError("sweep needs a non-empty value list")
-    rows: list[SweepRow] = []
+    if not problems:
+        raise ConfigurationError("sweep needs a non-empty problem list")
+    rows: list[SolveResult | NumericalFailureError] = []
     warm: WaveFunction | None = None
-    for value in values:
-        p = _apply_axis(params, axis, value)
+    for p in problems:
         try:
             res = minimize(p, spec, cfg, warm_start=warm)
             if warm is not None and not res.converged:
@@ -499,26 +476,7 @@ def sweep(
                 if cold.breakdown.total < res.breakdown.total:
                     res = cold
             warm = res.u
-            rows.append(
-                SweepRow(
-                    axis_value=value,
-                    breakdown=res.breakdown,
-                    converged=res.converged,
-                    grad_norm=res.grad_norm,
-                    iterations=res.iterations,
-                    u=res.u,
-                )
-            )
         except NumericalFailureError as exc:
-            rows.append(
-                SweepRow(
-                    axis_value=value,
-                    breakdown=None,
-                    converged=False,
-                    grad_norm=np.nan,
-                    iterations=0,
-                    error=str(exc),
-                )
-            )
-            warm = None
+            res, warm = exc, None
+        rows.append(res)
     return rows

@@ -23,7 +23,7 @@ from avfield.geometry import (
 from avfield.grid import GridSpec, WaveFunction, inner, integrate, spectral_laplacian
 from avfield.kernels import SmearedCoulomb, TrapPotential, kernels_for, lp_norm_grad_w
 from avfield.manybody import ManyBodyParams, product_state_energy
-from avfield.solver import SolverConfig, minimize, sweep
+from avfield.solver import SolverConfig, SolveResult, minimize, sweep
 from avfield.verify import abs_kinetic, smooth_state
 
 TRAP = TrapPotential()
@@ -189,15 +189,15 @@ def test_criterion_06_r_to_zero_rate():
     spec = GridSpec(n=512, half_width=6.0)
     cfg = SolverConfig(tol_grad=1e-5)
     beta = 1.0
-    params = FunctionalParams(beta=beta, R=0.4, trap=TRAP)
     values = [0.4, 0.2, 0.1, 0.05, 0.025]
-    rows = sweep("R", values, params, spec, cfg)
+    rows = sweep([FunctionalParams(beta=beta, R=R, trap=TRAP) for R in values], spec, cfg)
     report(
         "criterion 6: R-sweep converged",
-        all(row.converged for row in rows),
-        str([(row.axis_value, row.converged, row.grad_norm, row.error) for row in rows]),
+        all(isinstance(row, SolveResult) and row.converged for row in rows),
+        str([(R, row.converged, row.grad_norm) if isinstance(row, SolveResult) else (R, row)
+             for R, row in zip(values, rows)]),
     )
-    E = {row.axis_value: row.breakdown.total for row in rows}
+    E = {R: row.breakdown.total for R, row in zip(values, rows)}
     diffs = np.array([E[R / 2.0] - E[R] for R in values[:-1]])
     order = float(np.polyfit(np.log(values[:-1]), np.log(np.abs(diffs)), 1)[0])
 
@@ -235,9 +235,7 @@ def test_criterion_07_beta_to_zero_limit(spec256):
     cfg = SolverConfig(tol_grad=1e-6)
     e0 = minimize(FunctionalParams(beta=0.0, R=0.0, trap=TRAP), spec256, cfg)
     betas = [0.4, 0.2, 0.1, 0.05]
-    rows = sweep(
-        "beta", betas, FunctionalParams(beta=0.4, R=0.0, trap=TRAP), spec256, cfg
-    )
+    rows = sweep([FunctionalParams(beta=b, R=0.0, trap=TRAP) for b in betas], spec256, cfg)
     diffs = [row.breakdown.total - e0.breakdown.total for row in rows]
     nonneg = all(d >= 0.0 for d in diffs)
     order = float(np.polyfit(np.log(betas), np.log(diffs), 1)[0])

@@ -16,9 +16,10 @@ from avfield.cli import (
 )
 from avfield import solver
 from avfield.errors import FormatError, NumericalFailureError
-from avfield.functional import EnergyBreakdown
+from avfield.functional import EnergyBreakdown, FunctionalParams
 from avfield.grid import GridSpec, WaveFunction, gaussian_state
-from avfield.solver import SweepRow
+from avfield.kernels import TrapPotential
+from avfield.solver import SolverConfig, SolveResult
 from avfield.stateio import load_state, save_state
 
 
@@ -124,20 +125,33 @@ def test_solve_command_oscillator(tmp_path, capsys):
     assert (tmp_path / "hist.csv").read_text().startswith("iteration,energy")
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "energy"])
-def test_harmonic_trap_refuses_power_law_settings(command, tmp_path, spec, capsys):
+@pytest.mark.parametrize("command", ["solve", "sweep", "sweep-s", "energy"])
+def test_harmonic_trap_refuses_power_law_settings(command, tmp_path, spec, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solved before checking the trap")
+
     state = tmp_path / "u.state"
     save_state(state, gaussian_state(spec), beta=0.0, R=0.1)
     argv = {
         "solve": ["solve", "--beta", "0", "--grid", "32", "--tol-grad", "1e-4"],
         "sweep": ["sweep", "--axis", "beta", "--values", "0", "--grid", "32"],
+        "sweep-s": ["sweep", "--axis", "s", "--values", "2,4", "--beta", "0", "--grid", "32",
+                    "--tol-grad", "1e-4"],
         "energy": ["energy", str(state), "--N", "2"],
     }[command] + ["--out", str(tmp_path / "report")]
-    for trap in (["--trap-s", "4"], ["--trap-c", "2"], ["--trap", "harmonic", "--trap-s", "4"]):
+    refused = [["--trap-s", "4"], ["--trap-c", "2"], ["--trap", "harmonic", "--trap-s", "4"]]
+    # the defaults, spelled out, are the harmonic trap
+    accepted = ["--trap-c", "1", "--trap-s", "2"]
+    if command == "sweep-s":
+        # the s = 4 row is refused as solve's --trap-s 4 is, before any row is solved
+        refused, accepted = [[], *refused], ["--trap", "power"]
+    monkeypatch.setattr(cli, "minimize", never)
+    monkeypatch.setattr(solver, "minimize", never)
+    for trap in refused:
         assert run(argv + trap) == EXIT_CONFIG
         assert capsys.readouterr().err == "error: --trap-c and --trap-s need --trap power\n"
-    # the defaults, spelled out, are the harmonic trap
-    assert run(argv + ["--trap-c", "1", "--trap-s", "2"]) == EXIT_OK
+    monkeypatch.undo()
+    assert run(argv + accepted) == EXIT_OK
 
 
 def test_solve_report_lists_level_iterations(tmp_path):
@@ -243,6 +257,13 @@ def test_missing_output_directory_refused_before_solving(tmp_path, capsys, monke
     assert "its directory does not exist" in capsys.readouterr().err
 
 
+def solved(**result) -> SolveResult:
+    """A sweep row as ``solver.sweep`` returns it, with planted numbers."""
+    u = gaussian_state(GridSpec(n=32, half_width=4.0))
+    return SolveResult(u=u, breakdown=EnergyBreakdown(1.25, -0.1, 0.3, 2.0),
+                       boundary_mass=0.0, **result)
+
+
 def test_sweep_command_csv(tmp_path, monkeypatch):
     out = tmp_path / "sweep.csv"
     code = run(
@@ -259,8 +280,8 @@ def test_sweep_command_csv(tmp_path, monkeypatch):
     assert float(first[0]) == 0.0
     assert float(first[1]) == pytest.approx(2.0, abs=1e-6)
     # the exact bytes of a solved and a failed row
-    rows = [SweepRow(0.5, EnergyBreakdown(1.25, -0.1, 0.3, 2.0), True, 1e-6, 7),
-            SweepRow(0.6, None, False, np.nan, 0, error="planted")]
+    rows = [solved(converged=True, grad_norm=1e-6, iterations=7),
+            NumericalFailureError("planted")]
     monkeypatch.setattr(cli, "sweep", lambda *a: rows)
     run(["sweep", "--axis", "beta", "--values", "0.5,0.6", "--out", str(out)])
     assert out.read_bytes() == (
@@ -268,6 +289,29 @@ def test_sweep_command_csv(tmp_path, monkeypatch):
         b"0.5,3.45,1.25,-0.1,0.3,2.0,True,1e-06,7\r\n"
         b"0.6,,,,,,False,nan,0\r\n"
     )
+
+
+@pytest.mark.parametrize(
+    "axis, values, trap, problem",
+    [
+        ("beta", [0.5, 1.0], [], lambda v: FunctionalParams(beta=v, R=0.2, trap=TrapPotential())),
+        ("R", [0.2, 0.1], [], lambda v: FunctionalParams(beta=0.5, R=v, trap=TrapPotential())),
+        ("s", [2.0, 4.0], ["--trap", "power"],
+         lambda v: FunctionalParams(beta=0.5, R=0.2, trap=TrapPotential(s=v))),
+    ],
+    ids=["beta", "R", "s"],
+)
+def test_sweep_axis_sets_its_parameter(tmp_path, axis, values, trap, problem):
+    # each CLI row is the row of a warm-started sweep over the problems built here
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", axis, "--values", ",".join(map(repr, values)), "--beta", "0.5",
+            "--R", "0.2", *trap, "--grid", "32", "--tol-grad", "1e-4", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    rows = solver.sweep([problem(v) for v in values], GridSpec(n=32, half_width=8.0),
+                        SolverConfig(tol_grad=1e-4))
+    assert [line.split(",")[:2] for line in out.read_text().splitlines()[1:]] == [
+        [repr(v), repr(row.breakdown.total)] for v, row in zip(values, rows)
+    ]
 
 
 def test_unconverged_solve_and_sweep_report_on_stderr(tmp_path, capsys):
@@ -289,10 +333,8 @@ def test_unconverged_solve_and_sweep_report_on_stderr(tmp_path, capsys):
 
 
 def test_sweep_row_error_exit_code_outranks_unconverged(tmp_path, monkeypatch, capsys):
-    failed = SweepRow(axis_value=0.6, breakdown=None, converged=False,
-                      grad_norm=np.nan, iterations=0, error="non-finite energy")
-    unconverged = SweepRow(axis_value=0.5, breakdown=None, converged=False,
-                           grad_norm=1e-3, iterations=2)
+    failed = NumericalFailureError("non-finite energy")
+    unconverged = solved(converged=False, grad_norm=1e-3, iterations=2)
     monkeypatch.setattr(cli, "sweep", lambda *a: [unconverged, failed])
     argv = ["sweep", "--axis", "beta", "--values", "0.5,0.6", "--grid", "32",
             "--out", str(tmp_path / "sweep.csv")]

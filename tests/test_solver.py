@@ -9,7 +9,7 @@ from avfield.functional import FunctionalParams, StateFields, energy_and_gradien
 from avfield.grid import GridSpec, WaveFunction, gaussian_state, inner, l2_norm
 from avfield import solver
 from avfield.kernels import TrapPotential, kernels_for
-from avfield.solver import SolverConfig, initial_state, minimize, sweep
+from avfield.solver import SolverConfig, SolveResult, initial_state, minimize, sweep
 
 from fft_counter import FFTCounter
 
@@ -91,10 +91,13 @@ def test_boundary_warning_for_small_box(trap):
     assert any("boundary" in w for w in res.warnings)
 
 
+def betas(trap, values):
+    return [FunctionalParams(beta=b, R=0.0, trap=trap) for b in values]
+
+
 def test_sweep_warm_start_and_columns(spec, trap):
-    params = FunctionalParams(beta=0.0, R=0.0, trap=trap)
-    rows = sweep("beta", [0.0, 0.1, 0.2], params, spec, SolverConfig(tol_grad=1e-4))
-    assert [r.axis_value for r in rows] == [0.0, 0.1, 0.2]
+    rows = sweep(betas(trap, [0.0, 0.1, 0.2]), spec, SolverConfig(tol_grad=1e-4))
+    assert [type(r) for r in rows] == [SolveResult] * 3
     totals = [r.breakdown.total for r in rows]
     assert totals[0] == pytest.approx(2.0, abs=1e-10)
     assert totals == sorted(totals)  # energy grows with |beta|
@@ -109,26 +112,36 @@ def test_sweep_cold_restarts_only_unconverged_rows(spec, trap, monkeypatch):
         return minimize(p, spec, cfg, warm_start)
 
     monkeypatch.setattr(solver, "minimize", recording)
-    params = FunctionalParams(beta=0.0, R=0.0, trap=trap)
     # the energy rises along this axis, yet converged rows are not re-solved
-    rows = sweep("beta", [0.0, 0.1, 0.2], params, spec, SolverConfig(tol_grad=1e-4))
+    rows = sweep(betas(trap, [0.0, 0.1, 0.2]), spec, SolverConfig(tol_grad=1e-4))
     assert all(r.converged for r in rows)
     assert warm_flags == [False, True, True]
 
     warm_flags.clear()
     # three iterations cannot converge the beta=0.1 row, so it is re-run cold
-    sweep("beta", [0.0, 0.1], params, spec, SolverConfig(max_iters=3, tol_grad=1e-8))
+    sweep(betas(trap, [0.0, 0.1]), spec, SolverConfig(max_iters=3, tol_grad=1e-8))
+    assert warm_flags == [False, True, False]
+
+
+def test_sweep_row_after_a_failed_row_starts_cold(spec, trap, monkeypatch):
+    warm_flags = []
+
+    def failing_second(p, spec, cfg=SolverConfig(), warm_start=None):
+        warm_flags.append(warm_start is not None)
+        if p.beta == 0.1:
+            raise NumericalFailureError("planted")
+        return minimize(p, spec, cfg, warm_start)
+
+    monkeypatch.setattr(solver, "minimize", failing_second)
+    rows = sweep(betas(trap, [0.0, 0.1, 0.2]), spec, SolverConfig(tol_grad=1e-4))
+    assert [type(r) for r in rows] == [SolveResult, NumericalFailureError, SolveResult]
+    assert str(rows[1]) == "planted"
     assert warm_flags == [False, True, False]
 
 
 def test_sweep_axis_validation(spec, trap):
-    params = FunctionalParams(beta=0.0, R=0.0, trap=trap)
     with pytest.raises(ConfigurationError):
-        sweep("gamma", [1.0], params, spec)
-    with pytest.raises(ConfigurationError):
-        sweep("N", [2.0], params, spec)  # N does not enter the functional
-    with pytest.raises(ConfigurationError):
-        sweep("beta", [], params, spec)
+        sweep([], spec)
 
 
 def lowest_eigenvalue(spec, c, s):
@@ -157,9 +170,9 @@ def lowest_eigenvalue(spec, c, s):
                        return_eigenvectors=False)[0])
 
 
-def test_sweep_s_axis_changes_trap(spec, trap):
-    params = FunctionalParams(beta=0.0, R=0.0, trap=trap)
-    rows = sweep("s", [2.0, 4.0], params, spec, SolverConfig(tol_grad=1e-4))
+def test_sweep_s_axis_changes_trap(spec):
+    problems = [FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=s)) for s in (2.0, 4.0)]
+    rows = sweep(problems, spec, SolverConfig(tol_grad=1e-4))
     assert all(r.converged for r in rows)
     assert rows[0].breakdown.total == pytest.approx(2.0, abs=1e-6)
     assert rows[1].breakdown.total == pytest.approx(lowest_eigenvalue(spec, 1.0, 4.0), rel=1e-6)
