@@ -329,7 +329,16 @@ def _minimize_level(
     u: WaveFunction,
     kernels: KernelSet,
 ) -> SolveResult:
-    """Minimize on one grid from the normalized state ``u``."""
+    """Minimize on one grid from the normalized state ``u``.
+
+    E, G, the projected gradient, its norm and the last relative drop are
+    formed once per accepted step.  The loop ends converged (gradient
+    below ``tol_grad`` at the start or after a drop below TOL_ENERGY),
+    unconverged at the round-off floor (three round-off steps in a row, or
+    no Armijo step near stationarity) or at ``max_iters`` (the last iterate
+    untested), or raises ``NumericalFailureError`` (a non-finite energy, or
+    no Armijo step away from the floor).
+    """
     warnings: list[str] = []
     _warn_boundary(u, "initial", warnings)
     # explicit fields, so none are left on u, which may be a caller's state
@@ -337,31 +346,23 @@ def _minimize_level(
     if not np.isfinite(bd.total):
         raise NumericalFailureError("non-finite initial energy")
     history = [bd.total]
+    pg = sphere_project(spec, G, u)
+    grad_norm = l2_norm(spec, pg)
+    rel_drop = np.inf
     tau = STEP0
     converged = False
-    grad_norm = np.inf
     iterations = 0
     stagnant = 0  # consecutive accepted steps with below-round-off decrease
     # g_prev, p_prev and <g_prev, d_prev>; only these two arrays outlive an
     # iteration
     prev: tuple[np.ndarray, np.ndarray, float] | None = None
 
-    for it in range(cfg.max_iters):
-        iterations = it
-        pg = sphere_project(spec, G, u)
-        grad_norm = l2_norm(spec, pg)
-        rel_drop = (
-            abs(history[-2] - history[-1]) / max(abs(history[-1]), 1.0)
-            if len(history) >= 2
-            else np.inf
-        )
-        if grad_norm < cfg.tol_grad and (it == 0 or rel_drop < TOL_ENERGY):
+    while iterations < cfg.max_iters:
+        if grad_norm < cfg.tol_grad and (iterations == 0 or rel_drop < TOL_ENERGY):
             converged = True
             break
         if stagnant >= 3:
-            # energy at the round-off floor; grad target may be unreachable
-            converged = grad_norm < cfg.tol_grad
-            break
+            break  # energy at the round-off floor; grad target may be unreachable
 
         sigma = max(1.0, abs(bd.total))
         d = sphere_project(spec, _precondition(pg, spec, params.trap, sigma), u)
@@ -370,7 +371,6 @@ def _minimize_level(
         prev = None  # release g_prev and p_prev before the line search
         del d
 
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
             trial_vals = u.values - tau * p
             # |v|^2 is formed once: its sum normalizes v and, rescaled, it
@@ -391,13 +391,13 @@ def _minimize_level(
             if not np.isfinite(trial_bd.total):
                 raise NumericalFailureError("non-finite energy during line search")
             if trial_bd.total <= bd.total + ARMIJO_C * tau * slope:
-                accepted = True
                 break
             del trial_fields
             tau *= BACKTRACK_SHRINK
-        if not accepted:
-            # at numerical stationarity the line search cannot decrease further
-            if grad_norm < 10.0 * cfg.tol_grad or rel_drop < TOL_ENERGY:
+        else:
+            # at numerical stationarity (sigma = max(1, |E|)) no step decreases E
+            if (grad_norm < 10.0 * cfg.tol_grad or rel_drop < TOL_ENERGY
+                    or -slope < TOL_ENERGY * sigma):
                 converged = grad_norm < cfg.tol_grad
                 break
             raise NumericalFailureError(
@@ -407,7 +407,7 @@ def _minimize_level(
         # curvature of the quadratic through E(0), E'(0) = slope and E(tau)
         curv = trial_bd.total - bd.total - slope * tau
         drop = bd.total - trial_bd.total
-        stagnant = stagnant + 1 if drop <= 4e-16 * max(1.0, abs(bd.total)) else 0
+        stagnant = stagnant + 1 if drop <= 4e-16 * sigma else 0
         u = trial
         del G
         # the gradient reuses what the line search computed for this state;
@@ -415,6 +415,8 @@ def _minimize_level(
         bd, G = energy_and_gradient(trial_fields, params)
         del trial_fields
         history.append(bd.total)
+        # bd.total is the trial's line-search total bit for bit
+        rel_drop = abs(drop) / max(abs(bd.total), 1.0)
         if curv > 0.0:
             # the next search starts at that quadratic's minimizer
             tau = min(max(-slope * tau * tau / (2.0 * curv), 0.5 * tau), 4.0 * tau)
@@ -422,12 +424,9 @@ def _minimize_level(
             tau /= BACKTRACK_SHRINK
         tau = min(tau, 1e3)
         prev = (pg, p, gd)
-        del pg, p
-    else:
-        iterations = cfg.max_iters
-        # the norm computed in the loop belongs to the iterate before the
-        # last accepted step
-        grad_norm = l2_norm(spec, sphere_project(spec, G, u))
+        pg = sphere_project(spec, G, u)
+        grad_norm = l2_norm(spec, pg)
+        iterations += 1
 
     if not converged:
         warnings.append(

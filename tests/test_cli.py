@@ -14,7 +14,7 @@ from avfield.cli import (
     EXIT_UNCONVERGED,
     main,
 )
-from avfield import solver
+from avfield import solver, stateio
 from avfield.errors import FormatError, NumericalFailureError
 from avfield.functional import EnergyBreakdown, FunctionalParams
 from avfield.grid import GridSpec, WaveFunction, gaussian_state
@@ -82,6 +82,33 @@ def test_grid_mismatch_rejected_not_resampled(tmp_path, spec):
         load_state(path, expected=GridSpec(n=64, half_width=4.0))
     with pytest.raises(FormatError):
         load_state(path, expected=GridSpec(n=32, half_width=8.0))
+
+
+@pytest.mark.parametrize("step", ["fsync", "replace"])
+def test_failed_write_keeps_the_old_state(tmp_path, spec, monkeypatch, step):
+    path = tmp_path / "u.state"
+    save_state(path, gaussian_state(spec), beta=0.5, R=0.1)
+    old = path.read_bytes()
+
+    def fail(*args):
+        raise OSError(f"planted {step} failure")
+
+    monkeypatch.setattr(stateio.os, step, fail)
+    with pytest.raises(OSError, match=f"planted {step} failure"):
+        save_state(path, gaussian_state(spec, vortex=True), beta=1.0, R=0.2)
+    # no temp file is left and the old target is untouched
+    assert [p.name for p in tmp_path.iterdir()] == ["u.state"]
+    assert path.read_bytes() == old
+
+
+def test_unsupported_version_rejected(tmp_path, spec):
+    path = tmp_path / "u.state"
+    save_state(path, gaussian_state(spec), beta=0.0, R=0.0)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = struct.pack("<I", 2)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="unsupported version 2$"):
+        load_state(path)
 
 
 def run(args):

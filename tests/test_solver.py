@@ -1,11 +1,18 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from avfield.cli import EXIT_OK, main
+from avfield.cli import EXIT_OK, EXIT_UNCONVERGED, main
 from avfield.errors import ConfigurationError, NumericalFailureError
-from avfield.functional import FunctionalParams, StateFields, energy_and_gradient, sphere_project
+from avfield.functional import (
+    EnergyBreakdown,
+    FunctionalParams,
+    StateFields,
+    energy_and_gradient,
+    sphere_project,
+)
 from avfield.grid import GridSpec, WaveFunction, gaussian_state, inner, l2_norm
 from avfield import solver
 from avfield.kernels import TrapPotential, kernels_for
@@ -139,6 +146,30 @@ def test_sweep_row_after_a_failed_row_starts_cold(spec, trap, monkeypatch):
     assert warm_flags == [False, True, False]
 
 
+def test_sweep_keeps_a_lower_cold_resolve(spec, trap, monkeypatch):
+    def planted(total, converged):
+        bd = EnergyBreakdown(total, 0.0, 0.0, 0.0)
+        return SolveResult(u=gaussian_state(spec), breakdown=bd, iterations=1,
+                           converged=converged, grad_norm=1e-3, boundary_mass=0.0)
+
+    # beta -> (warm result, cold result); only beta = 0.1 has a lower cold one
+    results = {0.0: (None, planted(2.0, True)), 0.1: (planted(4.0, False), planted(3.0, True)),
+               0.2: (planted(5.0, True), None)}
+    warm_starts = []
+
+    def fake(p, spec, cfg=SolverConfig(), warm_start=None):
+        warm_starts.append(warm_start)
+        return results[p.beta][warm_start is None]
+
+    monkeypatch.setattr(solver, "minimize", fake)
+    rows = sweep(betas(trap, [0.0, 0.1, 0.2]), spec)
+    kept = [results[0.0][1], results[0.1][1], results[0.2][0]]
+    assert all(row is want for row, want in zip(rows, kept, strict=True))
+    # the beta = 0.2 row warm-starts from the kept cold state
+    assert [w is None for w in warm_starts] == [True, False, True, False]
+    assert warm_starts[3] is results[0.1][1].u
+
+
 def test_sweep_axis_validation(spec, trap):
     with pytest.raises(ConfigurationError):
         sweep([], spec)
@@ -251,6 +282,12 @@ def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
     p, slope = solver._cg_direction(spec, u, G, g, d, (np.zeros_like(g), p_prev, gd))
     assert np.allclose(p, d + sphere_project(spec, p_prev, u))
     assert slope == pytest.approx(-2.0 * inner(spec, p, G).real)
+    assert slope < 0.0
+
+    # d = -g points uphill, so the direction falls back to g
+    p, slope = solver._cg_direction(spec, u, G, g, -g, None)
+    assert p is g
+    assert slope == -2.0 * inner(spec, g, G).real
     assert slope < 0.0
 
 
@@ -448,3 +485,76 @@ def test_failed_coarse_level_is_not_fatal(trap, monkeypatch):
         f"not converged after 3 iterations: projected gradient norm "
         f"{res.grad_norm:.3e} (tol_grad 1e-07)"
     ]
+
+
+def test_stagnation_stops_unconverged(spec, trap):
+    # tol_grad 1e-13 lies below the round-off floor of this solve: three
+    # accepted steps in a row then lower E by at most 4e-16 max(1, |E|)
+    res = minimize(FunctionalParams(beta=1.0, R=0.0, trap=trap), spec,
+                   SolverConfig(tol_grad=1e-13))
+    assert not res.converged
+    assert res.iterations == 17
+    floor = 4e-16 * max(1.0, abs(res.breakdown.total))
+    assert all(0.0 <= a - b <= floor for a, b in zip(res.energy_history[-4:],
+                                                    res.energy_history[-3:]))
+    assert res.warnings == [
+        f"not converged after 17 iterations: projected gradient norm "
+        f"{res.grad_norm:.3e} (tol_grad 1e-13)"
+    ]
+
+
+@pytest.mark.parametrize("tol_grad", ["1e-8", "1e-9", "1e-12"])
+def test_line_search_at_the_round_off_floor_stops_unconverged(tol_grad, tmp_path, capsys):
+    # the Gaussian start is the beta = 0 ground state to round-off (slope
+    # -2e-15), so no trial lowers E: the solve stops, it does not raise
+    code = main(["solve", "--beta", "0", "--grid", "32", "--tol-grad", tol_grad,
+                 "--out", str(tmp_path / "report.json")])
+    assert code == EXIT_UNCONVERGED
+    assert capsys.readouterr().err == (
+        f"warning: not converged after 0 iterations: projected gradient norm "
+        f"1.406e-07 (tol_grad {float(tol_grad):g})\n"
+    )
+
+
+def planted_energy(monkeypatch, **offsets):
+    """Make ``solver.energy`` add ``offsets`` to its terms; returns its call list."""
+    real, calls = solver.energy, []
+
+    def shifted(fields, params):
+        calls.append(1)
+        bd = real(fields, params)
+        return dataclasses.replace(
+            bd, **{k: getattr(bd, k) + v for k, v in offsets.items()})
+
+    monkeypatch.setattr(solver, "energy", shifted)
+    return calls
+
+
+def test_line_search_failure_far_from_stationarity_raises(spec, trap, monkeypatch):
+    # every trial lies 1 above the Armijo bound while the slope is large
+    params = FunctionalParams(beta=0.5, R=0.2, trap=trap)
+    u = initial_state(spec, SolverConfig())
+    grad_norm = l2_norm(spec, sphere_project(spec, energy_and_gradient(u, params)[1], u))
+    calls = planted_energy(monkeypatch, potential=1.0)
+    with pytest.raises(NumericalFailureError) as exc:
+        minimize(params, spec)
+    assert str(exc.value) == f"no Armijo step after 60 halvings (grad norm {grad_norm:.3e})"
+    assert len(calls) == solver.MAX_BACKTRACKS  # the first line search
+
+
+def test_non_finite_line_search_energy_raises(spec, trap, monkeypatch):
+    planted_energy(monkeypatch, kinetic=np.nan)
+    with pytest.raises(NumericalFailureError, match="^non-finite energy during line search$"):
+        minimize(FunctionalParams(beta=0.5, R=0.2, trap=trap), spec)
+
+
+def test_non_finite_initial_energy_raises(spec, trap, monkeypatch):
+    real = solver.energy_and_gradient
+
+    def poisoned(fields, params):
+        bd, G = real(fields, params)
+        return dataclasses.replace(bd, kinetic=np.inf), G
+
+    monkeypatch.setattr(solver, "energy_and_gradient", poisoned)
+    with pytest.raises(NumericalFailureError, match="^non-finite initial energy$"):
+        minimize(FunctionalParams(beta=0.5, R=0.2, trap=trap), spec)
