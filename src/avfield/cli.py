@@ -5,16 +5,18 @@ up the suite, adds the configuration to its report and sets the exit
 code.  Reports are JSON (nested summaries) or CSV (flat sweep tables).
 Every JSON report embeds the resolved configuration and the package
 version so a run can be reproduced from its artifacts alone.  ``solve``
-starts cold from ``--init`` or warm from the state file ``--state-in``,
-never from both.  Exit codes: 0 success, 1 configuration error (an
-argparse usage error too, such as ``verify --samples`` below 1, a
-``sweep --values`` that is not a list of numbers or ``--init`` with
-``--state-in``, a ``--trap-c`` other than 1 or a ``--trap-s`` or
-``sweep --axis s`` value other than 2 without ``--trap power``, which a
-sweep refuses before its first solve, and a file that cannot be read or
-written), 2 numerical failure (a line search that stalls away from the
-round-off floor too), 3 invariant violation found by verify, 4 a solve
-or a sweep row stopped unconverged, at ``--max-iters`` or at the floor.
+starts cold, from the Gaussian or the random start of ``--seed``, or
+warm from the state file ``--state-in``, never from both.  Exit codes: 0
+success, 1 configuration error (an argparse usage error too, such as
+``verify --samples`` below 1, a negative ``--seed``, a ``sweep --values``
+that is not a list of numbers or ``--seed`` with ``--state-in``; a NaN or
+out-of-range ``--tol-grad``, ``--max-iters``, ``--R`` or ``--box``, a
+``--trap-c`` other than 1 or a ``--trap-s`` or ``sweep --axis s`` value
+other than 2 without ``--trap power``, which a sweep refuses before its
+first solve, and a file that cannot be read or written), 2 numerical
+failure (a line search that stalls away from the round-off floor too), 3
+invariant violation found by verify, 4 a solve or a sweep row stopped
+unconverged, at ``--max-iters`` or at the floor.
 An unconverged solve or sweep row is also reported on stderr (and in a
 solve report's ``warnings``), after its report, state and CSV are
 written.  A sweep row that raised a numerical failure makes the sweep
@@ -36,7 +38,7 @@ from .functional import FunctionalParams, energy
 from .grid import GridSpec
 from .kernels import TrapPotential
 from .manybody import ManyBodyParams, product_state_energy
-from .solver import INITS, SolverConfig, minimize, sweep
+from .solver import SolverConfig, minimize, sweep
 from .stateio import load_state, save_state
 
 EXIT_OK = 0
@@ -91,16 +93,7 @@ def _params_from_args(args, **row) -> FunctionalParams:
 
 
 def _solver_from_args(args) -> SolverConfig:
-    """The solver settings.  A cold start without ``--init`` is the Gaussian,
-    also in ``args``, so the report records it; a warm solve's stays None."""
-    if args.init is None and not getattr(args, "state_in", None):
-        args.init = "gaussian"
-    return SolverConfig(
-        max_iters=args.max_iters,
-        tol_grad=args.tol_grad,
-        init=args.init or "gaussian",
-        seed=args.seed,
-    )
+    return SolverConfig(max_iters=args.max_iters, tol_grad=args.tol_grad, seed=args.seed)
 
 
 def _resolved_config(args, extra: dict | None = None) -> dict:
@@ -211,6 +204,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def seed_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def float_list(text: str) -> list[float]:
     """A non-empty comma-separated list of numbers; empty items are skipped."""
     try:
@@ -242,14 +242,11 @@ def build_parser() -> argparse.ArgumentParser:
         add_trap_and_out(sp)
 
     def add_solver(sp, starts):
-        # ``starts`` holds --init, and in ``solve`` also --state-in, which excludes
-        # it; the default is None because argparse takes a value that is the
-        # default object itself (an interned "gaussian") for an absent option
+        # ``starts`` holds --seed, and in ``solve`` also --state-in, which excludes it
         sp.add_argument("--max-iters", type=int, default=5000)
         sp.add_argument("--tol-grad", type=float, default=1e-5)
-        starts.add_argument("--init", choices=INITS, default=None,
-                            help="cold start (default gaussian)")
-        sp.add_argument("--seed", type=int, default=None)
+        starts.add_argument("--seed", type=seed_int, default=None,
+                            help="random cold start (default the Gaussian)")
 
     sp = sub.add_parser("solve", help="minimize the average-field energy")
     sp.add_argument("--beta", type=float, required=True)
@@ -275,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run a sampling verification suite")
     sp.add_argument("suite", choices=sorted(verify.SUITES))
     sp.add_argument("--samples", type=positive_int, default=100_000)
-    sp.add_argument("--seed", type=int, default=42)
+    sp.add_argument("--seed", type=seed_int, default=42)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_verify)
 

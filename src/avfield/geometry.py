@@ -187,7 +187,7 @@ def batch_cyclic_sum(
     it receives plain edge lengths, one chunk of them at a time, so it must
     act elementwise, and must return positive values.
     """
-    if R < 0:
+    if not R >= 0:
         raise DomainError(f"need R >= 0, got {R}")
     return _by_chunk(_cyclic_sum, tri, 2, R, profile)
 
@@ -297,10 +297,10 @@ def regime_triangles(
     The rejection samplers draw rounds of 2m candidates until m are
     accepted and return the first m accepted, in draw order.  Each round
     is drawn whole, but its candidates are built and tested a chunk at a
-    time, only until the m-th is accepted.  R < 0 is rejected: no candidate
+    time, only until the m-th is accepted.  R < 0 and NaN are rejected: no candidate
     could have an edge <= R, so 'two_short' and 'one_short' would never return.
     """
-    if R < 0:
+    if not R >= 0:
         raise DomainError(f"need R >= 0, got {R}")
     if regime == "mixed":
         return random_triangles(rng, m)

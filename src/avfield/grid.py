@@ -43,8 +43,8 @@ class GridSpec:
     def __post_init__(self):
         if self.n < 16 or not _is_power_of_two(self.n):
             raise ConfigurationError(f"grid size must be a power of two >= 16, got {self.n}")
-        if self.half_width <= 0:
-            raise ConfigurationError(f"half_width must be positive, got {self.half_width}")
+        if not 0 < self.half_width < np.inf:
+            raise ConfigurationError(f"half_width must be finite and > 0, got {self.half_width}")
 
     @property
     def h(self) -> float:

@@ -43,7 +43,7 @@ class SmearedCoulomb:
     R: float
 
     def __post_init__(self):
-        if self.R < 0:
+        if not self.R >= 0:
             raise DomainError(f"smearing radius must be >= 0, got {self.R}")
 
     def w_radial(self, r) -> np.ndarray:

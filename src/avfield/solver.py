@@ -51,7 +51,7 @@ A cold solve on n >= 128 points is a nested iteration, the first stage
 of full multigrid (Brandt, "Multi-level adaptive solutions to
 boundary-value problems", Math. Comp. 31, 1977): one loop climbs the
 ladder n / 2^k, ..., n / 2, n of grids from n / 2^k = 64, where the
-configured init applies, solving the same problem on each grid and
+configured start applies, solving the same problem on each grid and
 interpolating its minimizer spectrally onto the next.  Every level uses
 the same configuration.  A warm start skips the coarse levels.
 
@@ -97,26 +97,26 @@ STEP0 = 0.1  # the first line search's trial step
 BACKTRACK_SHRINK = 0.5
 ARMIJO_C = 1e-4
 TOL_ENERGY = 1e-10  # relative energy drop that confirms convergence
-PERTURBATION = 0.1  # amplitude of the ``random`` init's plane waves
-# amplitude of the wave packet that breaks the Gaussian starts' symmetry
+PERTURBATION = 0.1  # amplitude of the seeded start's plane waves
+# amplitude of the wave packet that breaks the Gaussian start's symmetry
 SYMMETRY_SEED = 1e-10
 # a cold solve with n >= 2 COARSEST_N starts on coarser grids, down to this one
 COARSEST_N = 64
-INITS = ("gaussian", "gaussian_vortex", "random")  # the starts of a cold solve
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 5000
     tol_grad: float = 1e-7
-    init: str = "gaussian"  # one of INITS
-    seed: int | None = None
+    seed: int | None = None  # a cold solve's start: None the Gaussian, else seeded random
 
     def __post_init__(self):
-        if self.tol_grad <= 0:
-            raise ConfigurationError("tol_grad must be positive")
-        if self.init not in INITS:
-            raise ConfigurationError(f"unknown init {self.init!r}")
+        if not self.tol_grad > 0:
+            raise ConfigurationError(f"tol_grad must be positive, got {self.tol_grad}")
+        if self.max_iters < 0:
+            raise ConfigurationError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.seed is not None and self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -137,33 +137,31 @@ class SolveResult:
 def initial_state(spec: GridSpec, cfg: SolverConfig) -> WaveFunction:
     """The normalized start of a cold solve on ``spec``.
 
-    The Gaussian starts are invariant, up to a phase, under the grid's
-    reflections and quarter turns, and so is every iterate of a descent from them in exact
-    arithmetic, which can then only reach a symmetric critical point: at
-    beta = 4, R = 0.5, n = 64 that is a saddle at E = 4.5239, 15% above the
-    3.9176 minimum.  Round-off alone lets the descent leave such a saddle
-    only by chance, so both carry SYMMETRY_SEED times an off-centre
-    Gaussian wave packet, which no symmetry of the grid maps to itself.  A
-    descent that lingers near the saddle amplifies it until it leaves; one
-    that converges onto a saddle within a few iterations still stops there.
+    Without a seed it is the Gaussian, which is invariant, up to a phase,
+    under the grid's reflections and quarter turns, and so is every iterate
+    of a descent from it in exact arithmetic, which can then only reach a
+    symmetric critical point: at beta = 4, R = 0.5, n = 64 that is a saddle
+    at E = 4.5239, 15% above the 3.9176 minimum.  Round-off alone lets the
+    descent leave such a saddle only by chance, so the start carries
+    SYMMETRY_SEED times an off-centre Gaussian wave packet, which no
+    symmetry of the grid maps to itself.  A descent that lingers near the
+    saddle amplifies it until it leaves; one that converges onto a saddle
+    within a few iterations still stops there.  A seed adds six seeded
+    random plane waves under a Gaussian envelope instead.
     """
-    if cfg.init != "random":
-        base = gaussian_state(spec, vortex=cfg.init == "gaussian_vortex")
-        x, y = spec.meshgrid()
+    base = gaussian_state(spec)
+    x, y = spec.meshgrid()
+    if cfg.seed is None:
         # a closed form, not random waves: numpy.random adds 5 MB to a process
         packet = np.exp(1j * (0.7 * x + 0.3 * y) - ((x - 0.3) ** 2 + (y - 0.5) ** 2) / 2.0)
         return WaveFunction(spec, base.values + SYMMETRY_SEED * packet).normalized()
-    # seeded random perturbation of the gaussian
     rng = np.random.default_rng(cfg.seed)
-    base = gaussian_state(spec)
-    x, y = spec.meshgrid()
     env = np.exp(-(x**2 + y**2) / 2.0)
     pert = np.zeros((spec.n, spec.n), dtype=complex)
     for _ in range(6):
         kx, ky = rng.normal(scale=1.5, size=2)
         pert += (rng.normal() + 1j * rng.normal()) * np.exp(1j * (kx * x + ky * y))
-    vals = base.values + PERTURBATION * pert * env
-    return WaveFunction(spec, vals).normalized()
+    return WaveFunction(spec, base.values + PERTURBATION * pert * env).normalized()
 
 
 @lru_cache(maxsize=8)

@@ -1,5 +1,8 @@
 import json
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -212,39 +215,87 @@ def test_solve_invalid_grid_exits_config(capsys):
     assert "power of two" in capsys.readouterr().err
 
 
-def test_from_file_without_state_in(capsys):
-    # the warm start is --state-in alone; no init value stands for it
-    for argv in (["solve", "--beta", "0"], ["sweep", "--axis", "beta", "--values", "0"]):
-        assert run([*argv, "--grid", "32", "--init", "from_file"]) == EXIT_CONFIG
-        assert "invalid choice: 'from_file'" in capsys.readouterr().err
-
-
-def test_state_in_excludes_init(tmp_path, capsys):
-    # a warm start ignores the init, so asking for both is refused
+def test_state_in_excludes_seed(tmp_path, capsys):
+    # a warm start reads no seed, so asking for both is refused
     state = tmp_path / "u.state"
     save_state(state, gaussian_state(GridSpec(n=32, half_width=8.0)), beta=0.0, R=0.0)
-    argv = ["solve", "--beta", "0", "--grid", "32", "--init", "random", "--state-in", str(state)]
+    argv = ["solve", "--beta", "0", "--grid", "32", "--seed", "1", "--state-in", str(state)]
     assert run(argv) == EXIT_CONFIG
-    assert "not allowed with argument" in capsys.readouterr().err
-
-
-def test_state_in_excludes_default_init_in_process(tmp_path, capsys):
-    # an in-process "gaussian" literal is the interned string a "gaussian"
-    # default would be, which argparse took for an absent --init
-    state = tmp_path / "u.state"
-    save_state(state, gaussian_state(GridSpec(n=32, half_width=8.0)), beta=0.0, R=0.0)
-    argv = ["solve", "--beta", "0", "--grid", "32", "--init", "gaussian", "--state-in", str(state)]
-    assert run(argv) == EXIT_CONFIG
-    assert "argument --state-in: not allowed with argument --init" in capsys.readouterr().err
+    assert "argument --state-in: not allowed with argument --seed" in capsys.readouterr().err
 
 
 def test_solve_report_records_the_start_used(tmp_path):
     state, cold, warm = tmp_path / "u.state", tmp_path / "cold.json", tmp_path / "warm.json"
     common = ["solve", "--beta", "0", "--grid", "32", "--box", "8"]
-    assert run([*common, "--state-out", str(state), "--out", str(cold)]) == EXIT_OK
+    argv = [*common, "--seed", "5", "--tol-grad", "1e-3", "--state-out", str(state)]
+    assert run([*argv, "--out", str(cold)]) == EXIT_OK
     assert run([*common, "--state-in", str(state), "--out", str(warm)]) == EXIT_OK
-    assert json.loads(cold.read_text())["config"]["init"] == "gaussian"
-    assert json.loads(warm.read_text())["config"]["init"] is None
+    cold_config = json.loads(cold.read_text())["config"]
+    assert cold_config["seed"] == 5 and "init" not in cold_config
+    assert json.loads(warm.read_text())["config"]["seed"] is None
+
+
+def test_seed_picks_the_random_start(tmp_path):
+    # with no iterations the saved state is the start itself
+    spec = GridSpec(n=32, half_width=8.0)
+    starts = {}
+    for seed in (None, 3, 4):
+        state = tmp_path / f"{seed}.state"
+        argv = ["solve", "--beta", "0", "--grid", "32", "--max-iters", "0",
+                "--state-out", str(state), "--out", str(tmp_path / "report.json")]
+        assert run(argv + ([] if seed is None else ["--seed", str(seed)])) == EXIT_UNCONVERGED
+        starts[seed] = load_state(state)[0].values
+        want = solver.initial_state(spec, SolverConfig(seed=seed)).values
+        assert np.array_equal(starts[seed], want)
+    # no seed is the Gaussian start, up to its 1e-10 symmetry-breaking packet
+    assert np.max(np.abs(starts[None] - gaussian_state(spec).values)) < 1e-9
+    assert np.max(np.abs(starts[3] - starts[4])) > 1e-2
+    assert np.max(np.abs(starts[3] - starts[None])) > 1e-2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--beta", "0", "--grid", "32"],
+        ["sweep", "--axis", "beta", "--values", "0", "--grid", "32"],
+        ["verify", "kernels", "--samples", "10"],
+    ],
+    ids=["solve", "sweep", "verify"],
+)
+def test_negative_seed_is_a_usage_error(argv, capsys):
+    assert run([*argv, "--seed", "-1"]) == EXIT_CONFIG
+    assert "--seed: must be at least 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol-grad", "nan"], "tol_grad must be positive, got nan"),
+        (["--max-iters", "-3"], "max_iters must be >= 0, got -3"),
+        (["--R", "nan"], "smearing radius must be >= 0, got nan"),
+        (["--box", "nan"], "half_width must be finite and > 0, got nan"),
+        (["--box", "inf"], "half_width must be finite and > 0, got inf"),
+    ],
+    ids=["tol-grad-nan", "max-iters-negative", "R-nan", "box-nan", "box-inf"],
+)
+def test_solve_refuses_bad_numbers(flags, message, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert run(["solve", "--beta", "1", "--grid", "32", *flags, "--out", str(out)]) == EXIT_CONFIG
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_readme_examples_parse():
+    # each ``avfield ...`` line of the README's sh blocks, continuations
+    # joined, is a valid command line; nothing is run
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", text, re.S)
+    lines = [ln.strip() for b in blocks for ln in b.replace("\\\n", " ").splitlines()]
+    examples = [shlex.split(ln)[1:] for ln in lines if ln.startswith("avfield ")]
+    assert len(examples) >= 7
+    parser = cli.build_parser()
+    for argv in examples:
+        parser.parse_args(argv)
 
 
 @pytest.mark.parametrize(

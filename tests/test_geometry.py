@@ -209,6 +209,13 @@ def test_regime_triangles_reject_negative_radius(regime):
         regime_triangles(np.random.default_rng(0), 10, -0.3, regime)
 
 
+@pytest.mark.parametrize("regime", REGIMES)
+def test_regime_triangles_reject_nan_radius(regime):
+    # every comparison with NaN is false, so 'all_long' never accepted one
+    with pytest.raises(DomainError, match="got nan"):
+        regime_triangles(np.random.default_rng(0), 10, np.nan, regime)
+
+
 def convex_profile(r):
     return np.exp(r**2 / 2.0)
 
@@ -274,6 +281,8 @@ def test_batch_domain_errors():
         batch_cyclic_sum(tri, 0.0)
     with pytest.raises(DomainError):
         batch_cyclic_sum(random_triangles(np.random.default_rng(0), 4), -0.1)
+    with pytest.raises(DomainError, match="got nan"):
+        batch_cyclic_sum(tri, np.nan)
     assert np.isfinite(batch_cyclic_sum(tri, 0.1)[0]).all()
 
 

@@ -32,6 +32,9 @@ def test_grid_validation():
         GridSpec(n=8, half_width=8.0)
     with pytest.raises(ConfigurationError):
         GridSpec(n=64, half_width=-1.0)
+    for half_width in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="finite and > 0"):
+            GridSpec(n=64, half_width=half_width)
 
 
 def test_axis_and_spacing(spec):

@@ -73,6 +73,8 @@ def test_point_kernel_singularity_raises():
         SmearedCoulomb(0.0).w_radial(np.array([0.0, 1.0]))
     with pytest.raises(DomainError):
         SmearedCoulomb(-0.1)
+    with pytest.raises(DomainError, match="got nan"):
+        SmearedCoulomb(np.nan)
 
 
 def test_lp_norm_against_radial_quadrature():

@@ -32,21 +32,18 @@ def trap():
 
 
 def test_config_validation():
-    with pytest.raises(ConfigurationError):
-        SolverConfig(tol_grad=0.0)
-    # a warm start is the warm_start argument, not an init
-    for init in ("bogus", "from_file"):
+    for bad in ({"tol_grad": 0.0}, {"tol_grad": float("nan")}, {"max_iters": -3}, {"seed": -1}):
         with pytest.raises(ConfigurationError):
-            SolverConfig(init=init)
+            SolverConfig(**bad)
 
 
 def test_initial_state_variants(spec):
-    g = initial_state(spec, SolverConfig(init="gaussian"))
+    g = initial_state(spec, SolverConfig())
     assert g.mass == pytest.approx(1.0)
     # the symmetry-breaking seed
     assert 0.0 < np.max(np.abs(g.values - gaussian_state(spec).values)) < 1e-9
-    r = initial_state(spec, SolverConfig(init="random", seed=4))
-    r2 = initial_state(spec, SolverConfig(init="random", seed=4))
+    r = initial_state(spec, SolverConfig(seed=4))
+    r2 = initial_state(spec, SolverConfig(seed=4))
     assert np.allclose(r.values, r2.values)
 
 
@@ -59,7 +56,7 @@ def test_oscillator_converges_immediately(spec, trap):
 
 
 def test_descent_from_perturbed_start(spec, trap):
-    cfg = SolverConfig(init="random", seed=2, tol_grad=1e-6)
+    cfg = SolverConfig(seed=2, tol_grad=1e-6)
     res = minimize(FunctionalParams(beta=0.0, R=0.0, trap=trap), spec, cfg)
     assert res.converged
     assert res.breakdown.total == pytest.approx(2.0, abs=1e-6)
@@ -264,7 +261,7 @@ def test_max_iters_reports_the_returned_state_gradient_norm(spec, trap):
 
 def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
     params = FunctionalParams(beta=0.5, R=0.2, trap=trap)
-    u = initial_state(spec, SolverConfig(init="random", seed=3))
+    u = initial_state(spec, SolverConfig(seed=3))
     _, G = energy_and_gradient(u, params)
     g = sphere_project(spec, G, u)
     d = sphere_project(spec, np.fft.ifft2(np.fft.fft2(g) / 3.0), u)
@@ -472,7 +469,7 @@ def test_failed_coarse_level_is_not_fatal(trap, monkeypatch):
     monkeypatch.setattr(solver, "_minimize_level", failing)
     # the quartic trap's random start cannot converge in 3 iterations
     params = FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=4.0))
-    cfg = SolverConfig(init="random", seed=1, max_iters=3)
+    cfg = SolverConfig(seed=1, max_iters=3)
     res = minimize(params, grid, cfg)
     assert sorted(starts) == [64, 128, 256]
     # n = 256 starts from its own initial state and reports only its own level
