@@ -10,13 +10,14 @@ warm from the state file ``--state-in``, never from both.  Exit codes: 0
 success, 1 configuration error (an argparse usage error too, such as
 ``verify --samples`` below 1, a negative ``--seed``, a ``sweep --values``
 that is not a list of numbers or ``--seed`` with ``--state-in``; a NaN or
-out-of-range ``--tol-grad``, ``--max-iters``, ``--R`` or ``--box``, a
-``--trap-c`` other than 1 or a ``--trap-s`` or ``sweep --axis s`` value
-other than 2 without ``--trap power``, which a sweep refuses before its
-first solve, and a file that cannot be read or written), 2 numerical
-failure (a line search that stalls away from the round-off floor too), 3
-invariant violation found by verify, 4 a solve or a sweep row stopped
-unconverged, at ``--max-iters`` or at the floor.
+out-of-range ``--tol-grad``, ``--max-iters``, ``--R``, ``--box``,
+``--trap-c`` or ``--trap-s``, a non-finite ``--beta``, a ``--trap-c`` other
+than 1 or a ``--trap-s`` or ``sweep --axis s`` value other than 2 without
+``--trap power``, which a sweep refuses before its first solve, and a file
+that cannot be read or written), 2 numerical failure (a line search that
+stalls away from the round-off floor too), 3 invariant violation found by
+verify, 4 a solve or a sweep row stopped unconverged, at ``--max-iters`` or
+at the floor.
 An unconverged solve or sweep row is also reported on stderr (and in a
 solve report's ``warnings``), after its report, state and CSV are
 written.  A sweep row that raised a numerical failure makes the sweep

@@ -39,9 +39,10 @@ def vector_potential_of_spectrum(
     """A^R[rho] from the padded spectrum ``padded_rfft(spec, rho)``."""
     gx, gy = kernels.grad_w_fft
     h2 = spec.h**2
-    return np.stack(
-        [-h2 * padded_irfft(spec, rho_hat * gy), h2 * padded_irfft(spec, rho_hat * gx)]
-    )
+    A = np.empty((2, spec.n, spec.n))
+    np.multiply(-h2, padded_irfft(spec, rho_hat * gy), out=A[0])
+    np.multiply(h2, padded_irfft(spec, rho_hat * gx), out=A[1])
+    return A
 
 
 def curl_A(spec: GridSpec, A: np.ndarray) -> np.ndarray:

@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import DomainError
 from .fields import vector_potential_of_spectrum
 from .grid import (
     GridSpec,
@@ -51,6 +52,10 @@ class FunctionalParams:
     beta: float
     R: float
     trap: TrapPotential
+
+    def __post_init__(self):
+        if not np.isfinite(self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -78,7 +83,7 @@ class StateFields:
 
     - ``spectrum``: fft2 of u, one n x n transform;
     - ``grad``: (d_x u, d_y u) from the spectrum, two n x n inverses;
-    - ``J``: the phase current Im(conj(u) grad u), real by construction;
+    - ``J``: the phase current Im(conj(u) grad u), two real arrays;
     - ``rho_hat``: the padded spectrum of rho = |u|^2, one pruned padded
       transform shared by A and any other convolution of rho;
     - ``A``: A^R[rho] from ``rho_hat``, two pruned padded inverses;
@@ -105,8 +110,12 @@ class StateFields:
 
     @cached_property
     def J(self) -> tuple[np.ndarray, np.ndarray]:
+        # copies of the imaginary parts, so no complex product stays pinned
         cu = np.conj(self.values)
-        return np.imag(cu * self.grad[0]), np.imag(cu * self.grad[1])
+        prod = np.multiply(cu, self.grad[0])
+        jx = prod.imag.copy()
+        np.multiply(cu, self.grad[1], out=prod)
+        return jx, prod.imag.copy()
 
     @cached_property
     def rho_hat(self) -> np.ndarray:
@@ -182,13 +191,26 @@ def evaluate(
         return bd, None
     (ax, ay), (jx, jy) = fields.A, fields.J
 
-    # W from the gauge-covariant current J + beta rho A; its two
+    # W from the gauge-covariant current Q = J + beta rho A; its two
     # convolutions are summed in Fourier space before one inverse.  W comes
-    # before G: G's temporaries alongside the padded ones raise the peak RSS
+    # before G: G's temporaries alongside the padded ones raise the peak RSS.
+    # Each component of Q is formed in the one buffer q.
     gx, gy = fields.kernels.grad_w_fft
-    w_hat = padded_rfft(spec, jy + beta * rho * ay) * gx
-    w_hat -= padded_rfft(spec, jx + beta * rho * ax) * gy
+    q = np.multiply(beta, rho)
+    q *= ay
+    q += jy
+    w_hat = padded_rfft(spec, q)
+    w_hat *= gx
+    np.multiply(beta, rho, out=q)
+    q *= ax
+    q += jx
+    qx_hat = padded_rfft(spec, q)
+    del q
+    qx_hat *= gy
+    w_hat -= qx_hat
+    del qx_hat
     W = (-2.0 * beta * spec.h**2) * padded_irfft(spec, w_hat)
+    del w_hat  # consumed by the inverse
 
     # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))
     # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint
@@ -196,13 +218,24 @@ def evaluate(
     # part -lap u - i beta div(A u) = -d_x(u_x + i beta A_x u)
     # - d_y(u_y + i beta A_y u) reuses the cached gradient; each one-axis
     # derivative is an fft/ifft pair along its own axis, equal to the 2-D
-    # spectral one with the same zeroed Nyquist mode.
+    # spectral one with the same zeroed Nyquist mode.  Both are formed in
+    # place, in G and in t, which first holds i beta u.
     ux, uy = fields.grad
-    ibv = 1j * beta * v
-    G = np.fft.ifft(-1j * kx * np.fft.fft(ux + ax * ibv, axis=1), axis=1)
-    G += np.fft.ifft(-1j * ky * np.fft.fft(uy + ay * ibv, axis=0), axis=0)
-    G -= 1j * beta * (ax * ux + ay * uy)
-    G += (beta**2 * (ax**2 + ay**2) + V + W) * v
+    t = (1j * beta) * v
+    G = np.multiply(ax, t)
+    G += ux
+    np.fft.fft(G, axis=1, out=G)
+    np.multiply(-1j * kx, G, out=G)
+    np.fft.ifft(G, axis=1, out=G)
+    np.multiply(ay, t, out=t)
+    t += uy
+    np.fft.fft(t, axis=0, out=t)
+    np.multiply(-1j * ky, t, out=t)
+    G += np.fft.ifft(t, axis=0, out=t)
+    np.multiply(ax, ux, out=t)
+    t += ay * uy
+    G -= np.multiply(1j * beta, t, out=t)
+    G += np.multiply(beta**2 * (ax**2 + ay**2) + V + W, v, out=t)
     return bd, G
 
 

@@ -12,8 +12,11 @@ error controlled by the box size.
 
 Padded half spectra, shape (2n, n+1) indexed [ky, kx], are kx-major (the
 ``.T`` of a C-ordered buffer), so both passes of a padded transform run
-along contiguous rows; the values are numpy's ``rfft2`` bit for bit.  No
-transform writes into its argument.
+along contiguous rows; the values are numpy's ``rfft2`` bit for bit.
+``padded_rfft`` leaves its argument as it is; ``padded_irfft`` consumes
+the spectrum it is handed, whose buffer its column pass overwrites.  A
+kernel's padded spectrum is ``padded_rfft`` of its 2n x 2n sample in FFT
+order (origin at index 0, offsets ``ifftshift(padded_axis())``).
 """
 
 from __future__ import annotations
@@ -106,26 +109,12 @@ def spectral_laplacian(spec: GridSpec, f: np.ndarray) -> np.ndarray:
     return np.fft.ifft2(-(kx**2 + ky**2) * fh)
 
 
-def kernel_fft(spec: GridSpec, kernel: np.ndarray) -> np.ndarray:
-    """Padded half spectrum, kx-major, of a centered kernel sample.
-
-    The kernel must be sampled on the 2n x 2n offsets returned by
-    ``padded_axis`` (origin at index n along each axis).  Equals
-    ``rfft2(ifftshift(kernel))`` bit for bit.
-    """
-    m = 2 * spec.n
-    if kernel.shape != (m, m):
-        raise ConfigurationError(
-            f"kernel shape {kernel.shape} does not match padded grid ({m}, {m})"
-        )
-    return padded_rfft(spec, np.fft.ifftshift(kernel))  # 2n x 2n: nothing to pad
-
-
 def padded_rfft(spec: GridSpec, f: np.ndarray) -> np.ndarray:
     """Half spectrum, shape (2n, n+1), of the real n x n field f zero-padded to 2n x 2n.
 
     Kx-major, equal to ``rfft2(f, s=(2n, 2n))`` bit for bit: the row
     transforms, transposed into a zeroed (n+1, 2n) buffer, transformed in place.
+    A 2n x 2n f (a kernel sample) has nothing to pad.
     """
     m = 2 * spec.n
     buf = np.zeros((spec.n + 1, m), dtype=complex)  # before the rows: a lower peak RSS
@@ -138,23 +127,24 @@ def padded_irfft(spec: GridSpec, fh: np.ndarray) -> np.ndarray:
     """Primary n x n block of the real inverse of a (2n, n+1) padded half spectrum.
 
     Equals ``irfft2(fh, s=(2n, 2n))[:n, :n]`` bit for bit; a kx-major fh
-    is read along contiguous rows.
+    is read along contiguous rows.  Consumes fh: the column pass runs in
+    place, so callers hand over a complex product they own.
     """
     n = spec.n
-    cols = np.fft.ifft(fh.T, axis=1)
+    cols = np.fft.ifft(fh.T, axis=1, out=fh.T)
     # the transpose is copied TRANSPOSE_BLOCK source rows at a time; a
     # whole-array copy reads with a power-of-two stride that thrashes the cache
     rows = np.empty((n, n + 1), dtype=cols.dtype)
     for lo in range(0, n + 1, TRANSPOSE_BLOCK):
         rows[:, lo : lo + TRANSPOSE_BLOCK] = cols[lo : lo + TRANSPOSE_BLOCK, :n].T
-    del cols  # the full column transforms are freed before the row pass allocates
     return np.fft.irfft(rows, n=2 * n, axis=1)[:, :n]
 
 
 def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
     """Linear convolution h^2 * (kernel * f) restricted to the primary box.
 
-    ``kernel_hat`` is the kernel's padded spectrum, as ``kernel_fft`` returns it.
+    ``kernel_hat`` is the kernel's padded spectrum, ``padded_rfft`` of its
+    FFT-order sample.
     """
     n = spec.n
     if kernel_hat.shape != (2 * n, n + 1):
@@ -184,7 +174,11 @@ class WaveFunction:
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
         values = np.asarray(self.values, dtype=complex).view()
-        if not np.isfinite(values).all():
+        # a NaN or infinite sample makes the sum non-finite; finite samples
+        # whose sum overflows are told apart by the elementwise test
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = values.sum()
+        if not np.isfinite(total) and not np.isfinite(values).all():
             raise DomainError("field holds non-finite samples")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)

@@ -33,18 +33,19 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .grid import GridSpec, kernel_fft
+from .grid import GridSpec, padded_rfft
 
 
 @dataclass(frozen=True)
 class SmearedCoulomb:
-    """Smearing radius R >= 0; R = 0 selects the point-like log kernel."""
+    """Finite smearing radius R >= 0; R = 0 selects the point-like log kernel."""
 
     R: float
 
     def __post_init__(self):
-        if not self.R >= 0:
-            raise DomainError(f"smearing radius must be >= 0, got {self.R}")
+        # R = inf would sample a zero kernel: the beta = 0 problem under another name
+        if not 0 <= self.R < np.inf:
+            raise DomainError(f"smearing radius must be finite and >= 0, got {self.R}")
 
     def w_radial(self, r) -> np.ndarray:
         r = np.asarray(r, dtype=float)
@@ -59,20 +60,26 @@ class SmearedCoulomb:
         out[inside] = np.log(self.R) + 0.5 * ((r[inside] / self.R) ** 2 - 1.0)
         return out
 
-    def grad_w(self, x) -> np.ndarray:
-        """Gradient at points x of shape (..., 2); odd, with grad_w(0) = 0.
+    def grad_w(self, x, y) -> np.ndarray:
+        """Gradient at the points (x, y), which broadcast together.
 
-        For R = 0 the origin sample is 0 by the symmetric principal-value
-        convention for the odd kernel.
+        Returns the x and y components stacked on a leading axis of length 2.
+        Odd, with grad_w(0) = 0: for R = 0 the origin sample is 0 by the
+        symmetric principal-value convention for the odd kernel.  Coordinate
+        planes such as ``a[np.newaxis, :]`` and ``a[:, np.newaxis]`` give the
+        gradient on the grid a x a without forming its coordinates.
         """
-        x = np.asarray(x, dtype=float)
-        r2 = x[..., 0] ** 2 + x[..., 1] ** 2
-        denom = np.where(r2 == 0.0, 1.0, r2)
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        denom = x**2 + y**2
+        origin = denom == 0.0
+        denom[origin] = 1.0
         if self.R > 0.0:
-            denom = np.maximum(denom, self.R**2)
-        out = x / denom[..., np.newaxis]
-        out[r2 == 0.0] = 0.0
-        return out
+            np.maximum(denom, self.R**2, out=denom)
+        g = np.empty((2, *denom.shape))
+        np.divide(x, denom, out=g[0])
+        np.divide(y, denom, out=g[1])
+        g[:, origin] = 0.0
+        return g
 
 
 def lp_norm_grad_w(R: float, p: float) -> float:
@@ -105,8 +112,10 @@ class TrapPotential:
     s: float = 2.0
 
     def __post_init__(self):
-        if self.c <= 0 or self.s <= 0:
-            raise DomainError(f"trap requires c > 0 and s > 0, got c={self.c}, s={self.s}")
+        if not (0 < self.c < np.inf and 0 < self.s < np.inf):
+            raise DomainError(
+                f"trap requires finite c > 0 and s > 0, got c={self.c}, s={self.s}"
+            )
 
     def values(self, spec: GridSpec) -> np.ndarray:
         x, y = spec.meshgrid()
@@ -124,7 +133,7 @@ def trap_values(spec: GridSpec, trap: TrapPotential) -> np.ndarray:
 
 @dataclass
 class KernelSet:
-    """Padded-grid FFTs (``kernel_fft``, kx-major) of grad w_R and |grad w_R|^2.
+    """Padded-grid FFTs (``padded_rfft``, kx-major) of grad w_R and |grad w_R|^2.
 
     ``grad_w_sq_fft`` is None for R = 0: |grad w_0|^2 is not locally
     integrable and the singular two-body term is only offered for R > 0.
@@ -136,15 +145,19 @@ class KernelSet:
 
 
 def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
-    """Sample grad w_R on the 2n x 2n padded grid and keep the FFTs."""
-    a = spec.padded_axis()
-    x, y = np.meshgrid(a, a, indexing="xy")
-    g = SmearedCoulomb(R).grad_w(np.stack([x, y], axis=-1))
-    gx, gy = g[..., 0], g[..., 1]
-    return KernelSet(
-        grad_w_fft=(kernel_fft(spec, gx), kernel_fft(spec, gy)),
-        grad_w_sq_fft=kernel_fft(spec, gx**2 + gy**2) if R > 0.0 else None,
-    )
+    """Sample grad w_R on the 2n x 2n padded grid and keep the FFTs.
+
+    The sample is taken in FFT order (origin at index 0), which is what
+    the transform reads, so no centred copy is shifted.
+    """
+    a = np.fft.ifftshift(spec.padded_axis())
+    g = SmearedCoulomb(R).grad_w(a[np.newaxis, :], a[:, np.newaxis])
+    grad_w_fft = (padded_rfft(spec, g[0]), padded_rfft(spec, g[1]))
+    if R == 0.0:
+        return KernelSet(grad_w_fft, None)
+    np.square(g, out=g)
+    g[0] += g[1]
+    return KernelSet(grad_w_fft, padded_rfft(spec, g[0]))
 
 
 def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:

@@ -17,6 +17,7 @@ Cauchy-Schwarz and decays exactly like 1/(N-1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -35,6 +36,8 @@ class ManyBodyParams:
     def __post_init__(self):
         if self.N < 2:
             raise DomainError(f"need at least two particles, got N={self.N}")
+        if not math.isfinite(self.beta):
+            raise DomainError(f"beta must be finite, got {self.beta}")
         if self.R <= 0:
             raise DomainError(
                 "the pair term int (|grad w_R|^2 * rho) rho diverges at R = 0; "

@@ -164,8 +164,8 @@ def kernels_suite(samples: int, seed: int) -> dict:
     for _ in range(count):
         R = float(rng.uniform(0.05, 2.0))
         pts = rng.uniform(-3, 3, size=(64, 2))
-        g = SmearedCoulomb(R).grad_w(pts)
-        worst = max(worst, float(np.hypot(g[:, 0], g[:, 1]).max()) * R)
+        g = SmearedCoulomb(R).grad_w(pts[:, 0], pts[:, 1])
+        worst = max(worst, float(np.hypot(g[0], g[1]).max()) * R)
     checks.append({"name": "grad_sup_bound", "max_R_sup": worst, "ok": worst <= 1.0 + 1e-12})
     return {"suite": "kernels", "checks": checks}
 

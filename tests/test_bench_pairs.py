@@ -1,6 +1,7 @@
 """The pair runner's summary rules, on canned numbers (no benchmark runs)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -86,3 +87,33 @@ def test_workload_summary_reads_every_end_to_end_metric():
 def test_seed_ranges():
     assert bench_pairs.seed_range("201-205") == [201, 202, 203, 204, 205]
     assert bench_pairs.seed_range("7") == [7]
+
+
+def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", never)
+    out = tmp_path / "pairs.json"
+    argv = ["--workload", "geometry", "--seeds", "1-2", "--seconds", "1", "--out", str(out)]
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change-x").mkdir()
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change-x"), *argv])
+    assert code == 2 and "differ in length" in capsys.readouterr().err
+    assert not out.exists()
+
+    # equal lengths run
+    def canned(checkout, command, workload, seed, seconds):
+        return {"metrics": {"op_s": 0.2, "peak_rss_mb": 100.0}, "correct": True,
+                "failed": 0, "attempted": 5}
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    (tmp_path / "change").mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "run.py"],
+        "end_to_end": [{"name": "op_s", "better": "lower", "bound": 0.25},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+    code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
+                             "--change", str(tmp_path / "change"), *argv])
+    assert code == 0 and len(json.loads(out.read_text())["workloads"]["geometry"]["pairs"]) == 2

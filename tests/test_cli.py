@@ -272,16 +272,37 @@ def test_negative_seed_is_a_usage_error(argv, capsys):
     [
         (["--tol-grad", "nan"], "tol_grad must be positive, got nan"),
         (["--max-iters", "-3"], "max_iters must be >= 0, got -3"),
-        (["--R", "nan"], "smearing radius must be >= 0, got nan"),
+        (["--R", "nan"], "smearing radius must be finite and >= 0, got nan"),
+        (["--R", "inf"], "smearing radius must be finite and >= 0, got inf"),
         (["--box", "nan"], "half_width must be finite and > 0, got nan"),
         (["--box", "inf"], "half_width must be finite and > 0, got inf"),
+        (["--beta", "nan"], "beta must be finite, got nan"),
+        (["--beta", "inf"], "beta must be finite, got inf"),
+        (["--trap", "power", "--trap-c", "nan"],
+         "trap requires finite c > 0 and s > 0, got c=nan, s=2.0"),
+        (["--trap", "power", "--trap-s", "inf"],
+         "trap requires finite c > 0 and s > 0, got c=1.0, s=inf"),
     ],
-    ids=["tol-grad-nan", "max-iters-negative", "R-nan", "box-nan", "box-inf"],
+    ids=["tol-grad-nan", "max-iters-negative", "R-nan", "R-inf", "box-nan", "box-inf",
+         "beta-nan", "beta-inf", "trap-c-nan", "trap-s-inf"],
 )
 def test_solve_refuses_bad_numbers(flags, message, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["solve", "--beta", "1", "--grid", "32", *flags, "--out", str(out)]) == EXIT_CONFIG
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_refuses_a_non_finite_beta_before_solving(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solved before checking every row")
+
+    monkeypatch.setattr(cli, "minimize", never)
+    monkeypatch.setattr(solver, "minimize", never)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--axis", "beta", "--values", "1,nan", "--grid", "32", "--out", str(out)]
+    assert run(argv) == EXIT_CONFIG
+    assert "error: beta must be finite, got nan" in capsys.readouterr().err
     assert not out.exists()
 
 

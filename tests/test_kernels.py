@@ -60,12 +60,12 @@ def test_gradient_piecewise_and_bound():
     R = 0.4
     k = SmearedCoulomb(R)
     pts = np.array([[0.1, 0.2], [0.5, 0.0], [0.0, -1.3], [0.3, 0.1]])
-    g = k.grad_w(pts)
-    for p, gv in zip(pts, g):
+    g = k.grad_w(pts[:, 0], pts[:, 1])
+    for p, gv in zip(pts, g.T):
         r2 = p @ p
         want = p / max(r2, R**2)
         assert np.allclose(gv, want, atol=1e-15)
-    assert np.hypot(g[:, 0], g[:, 1]).max() <= 1.0 / R + 1e-12
+    assert np.hypot(g[0], g[1]).max() <= 1.0 / R + 1e-12
 
 
 def test_point_kernel_singularity_raises():
@@ -75,6 +75,8 @@ def test_point_kernel_singularity_raises():
         SmearedCoulomb(-0.1)
     with pytest.raises(DomainError, match="got nan"):
         SmearedCoulomb(np.nan)
+    with pytest.raises(DomainError, match="finite and >= 0, got inf"):
+        SmearedCoulomb(np.inf)
 
 
 def test_lp_norm_against_radial_quadrature():
@@ -115,6 +117,9 @@ def test_trap_validation_and_values():
         TrapPotential(c=0.0)
     with pytest.raises(DomainError):
         TrapPotential(s=-1.0)
+    for c, s in ((np.nan, 2.0), (np.inf, 2.0), (1.0, np.nan), (1.0, np.inf)):
+        with pytest.raises(DomainError, match="finite c > 0 and s > 0"):
+            TrapPotential(c=c, s=s)
     spec = GridSpec(n=16, half_width=2.0)
     v = TrapPotential(c=2.0, s=4.0).values(spec)
     x, y = spec.meshgrid()
@@ -129,8 +134,7 @@ def test_kernel_sampling_and_cache():
     # odd symmetry of the gradient sample about the centered origin
     a = spec.padded_axis()
     x, y = np.meshgrid(a, a, indexing="xy")
-    g = SmearedCoulomb(0.3).grad_w(np.stack([x, y], axis=-1))
-    for comp in (g[..., 0], g[..., 1]):
+    for comp in SmearedCoulomb(0.3).grad_w(x, y):
         sub = comp[1:, 1:]
         assert np.allclose(sub, -sub[::-1, ::-1], atol=1e-15)
     point = sample_kernels(spec, 0.0)

@@ -1,7 +1,8 @@
 """Alternating parent/change pairs of the benchmark, summarized into one file.
 
 Run from the root of a checkout, with the parent and the change each in its
-own directory (made with ``git archive``, say, at paths of equal length):
+own directory (made with ``git archive``, say).  Their resolved paths must be
+of equal length, or nothing is run and the exit code is 2:
 
     python3 tools/bench_pairs.py --parent ../parent --change ../change \
         --workload geometry --seeds 201-212 --seconds 8 --claim geometry:op_s \
@@ -133,6 +134,11 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
 
+    parent, change = args.parent.resolve(), args.change.resolve()
+    if len(str(parent)) != len(str(change)):
+        print(f"error: {parent} and {change} differ in length; {PEAK_RSS_CAVEAT}",
+              file=sys.stderr)
+        return 2
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report.update(
