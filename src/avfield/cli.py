@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -223,7 +224,13 @@ def float_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``avfield`` parser, built once per process and shared by every ``main`` call.
+
+    Parsing leaves it unchanged: each call gets a fresh namespace, and the
+    ``cmd_*`` functions look up ``minimize`` and ``sweep`` when they run.
+    """
     p = argparse.ArgumentParser(
         prog="avfield",
         description="Average-field energy minimization for extended anyons",

@@ -21,24 +21,32 @@ difference equations by tensor product methods", Numer. Math. 6 (1964)
 four real matrix products per component and no transform.  P is
 symmetric and positive definite.  Against products of a kinetic factor
 (k^2 + sigma)^-1 and a trap factor (V + sigma)^-1, the quartic trap at
-n = 64, L = 8 takes 17 iterations instead of 55, and the |x|^6 trap at
-n = 128, which stalled with them, converges.
+n = 64, L = 8 took 17 iterations instead of 55 (14 with the restart test
+below), and the |x|^6 trap at n = 128, which stalled with them,
+converges to tol_grad 1e-5; at 1e-6 and below it stops at the round-off
+floor, unconverged, with a projected gradient of about 1e-6.
 
 The direction d = proj(P g) is combined with the previous direction,
 
     b = max(0, (<g, d> - <g_prev, d>) / <g_prev, d_prev>),
     p = d + b proj(p_prev),
 
-and the method restarts with p = d whenever p is not a descent
-direction.  Each line search starts from a model of the last one
-(Nocedal & Wright, Numerical Optimization, section 3.5): after a step
-tau is accepted with energies E0 -> E1 and slope s < 0, the quadratic
-through E0, s and E1 has curvature c = E1 - E0 - s tau, and the next
-search starts at its minimizer -s tau^2 / (2c), clamped to
-[tau / 2, 4 tau] and to 1e3; when c <= 0 it starts at 2 tau.  A trial
-that fails the Armijo test is halved: backtracking by the same
-quadratic model took the quartic solve at n = 128 from 99 iterations
-to 337.
+and the method restarts with p = d (b = 0) whenever successive gradients
+are far from conjugate, |<g_prev, d>| >= 0.2 <g, d> (Powell, "Restart
+procedures for the conjugate gradient method", Math. Programming 12
+(1977) 241-254, in its preconditioned form), or p is not a descent
+direction.  Without the test the reference solve below took 14
+iterations and 20 line-search energies on n = 64: at the sixth the
+combination's slope was 400 times weaker than d's and its line search
+took 7 trials.  With the test it takes 9 and 9.  Each line search
+starts from a model of the last one (Nocedal & Wright, Numerical
+Optimization, section 3.5): after a step tau is accepted with energies
+E0 -> E1 and slope s < 0, the quadratic through E0, s and E1 has
+curvature c = E1 - E0 - s tau, and the next search starts at its
+minimizer -s tau^2 / (2c), clamped to [tau / 2, 4 tau] and to 1e3; when
+c <= 0 it starts at 2 tau.  A trial that fails the Armijo test is
+halved: backtracking by the same quadratic model took the quartic solve
+at n = 128 from 99 iterations to 337.
 
 The gradient of an accepted step is evaluated from the ``StateFields``
 its line-search energy built, and a trial's |v|^2 both normalizes it and
@@ -65,7 +73,7 @@ density band-limited to the coarse grid, such as that of a prolonged
 state, the fine convolution reads only that band: the coarse energy of a
 smooth state is the fine energy of its prolongation to 1e-13 relative,
 so the prolonged coarse minimizer mostly meets the fine tolerance as it
-is.  The harmonic reference solve at n = 256 spends 14, 0 and 0
+is.  The harmonic reference solve at n = 256 spends 9, 0 and 0
 iterations on n = 64, 128 and 256, as many as on n = 256 alone, so the
 whole solve runs on the coarsest grid; with kernels point-sampled on
 each coarse grid, which cannot resolve R < h, it spent 18, 11 and 6
@@ -96,6 +104,8 @@ MAX_BACKTRACKS = 60
 STEP0 = 0.1  # the first line search's trial step
 BACKTRACK_SHRINK = 0.5
 ARMIJO_C = 1e-4
+# Powell's restart test: b = 0 once |<g_prev, d>| >= POWELL_RESTART <g, d>
+POWELL_RESTART = 0.2
 TOL_ENERGY = 1e-10  # relative energy drop that confirms convergence
 PERTURBATION = 0.1  # amplitude of the seeded start's plane waves
 # amplitude of the wave packet that breaks the Gaussian start's symmetry
@@ -217,15 +227,17 @@ def _cg_direction(
 
     ``g`` is the projected gradient, ``d`` the projected preconditioned
     gradient and ``prev`` holds g_prev, p_prev and <g_prev, d_prev> from
-    the last iteration (None on the first).  The slope -2 Re<p, G> is
-    negative: p restarts at d when the combination is not a descent
-    direction, and falls back to g when d is not one either (round-off
-    at a vanishing gradient).
+    the last iteration (None on the first).  p restarts at d when
+    successive gradients are far from conjugate (Powell's test, see the
+    module docstring) or the combination is not a descent direction, and
+    falls back to g when d is not one either (round-off at a vanishing
+    gradient), so the slope -2 Re<p, G> is negative.
     """
     if prev is not None:
         g_prev, p_prev, gd_prev = prev
-        b = (inner(spec, g, d).real - inner(spec, g_prev, d).real) / gd_prev
-        if b > 0.0:
+        gd, gprev_d = inner(spec, g, d).real, inner(spec, g_prev, d).real
+        b = (gd - gprev_d) / gd_prev
+        if b > 0.0 and abs(gprev_d) < POWELL_RESTART * gd:
             p = sphere_project(spec, p_prev, u)
             p *= b
             p += d

@@ -236,14 +236,16 @@ def test_solve_report_records_the_start_used(tmp_path):
 
 
 def test_seed_picks_the_random_start(tmp_path):
-    # with no iterations the saved state is the start itself
+    # with no iterations the saved state is the start itself; the unseeded
+    # call follows a seeded one in the same process, which shares one parser
     spec = GridSpec(n=32, half_width=8.0)
     starts = {}
-    for seed in (None, 3, 4):
-        state = tmp_path / f"{seed}.state"
+    for seed in (3, None, 4):
+        state, report = tmp_path / f"{seed}.state", tmp_path / "report.json"
         argv = ["solve", "--beta", "0", "--grid", "32", "--max-iters", "0",
-                "--state-out", str(state), "--out", str(tmp_path / "report.json")]
+                "--state-out", str(state), "--out", str(report)]
         assert run(argv + ([] if seed is None else ["--seed", str(seed)])) == EXIT_UNCONVERGED
+        assert json.loads(report.read_text())["config"]["seed"] == seed
         starts[seed] = load_state(state)[0].values
         want = solver.initial_state(spec, SolverConfig(seed=seed)).values
         assert np.array_equal(starts[seed], want)

@@ -218,21 +218,24 @@ def test_iteration_budget_of_reference_solve(spec, trap):
 
 def test_benchmark_quartic_solve_iterations(spec):
     # the solve-quartic benchmark problem: 55 iterations with the trap-first
-    # product preconditioner, 17 with the separable inverse
+    # product preconditioner, 17 with the separable inverse, 14 with Powell's
+    # restart test
     res = minimize(FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=4.0)), spec,
                    SolverConfig(tol_grad=1e-4))
     assert res.converged
-    assert res.iterations <= 20
+    assert res.iterations <= 14
     assert res.breakdown.total == pytest.approx(lowest_eigenvalue(spec, 1.0, 4.0), rel=1e-9)
 
 
 @pytest.mark.parametrize(
     "s, beta, R, n, tol_grad",
-    [(6.0, 0.0, 0.0, 128, 1e-4), (3.0, 1.0, 0.2, 64, 1e-6), (4.0, 2.0, 0.2, 128, 1e-6)],
+    [(6.0, 0.0, 0.0, 128, 1e-4), (6.0, 0.0, 0.0, 128, 1e-5), (3.0, 1.0, 0.2, 64, 1e-6),
+     (4.0, 2.0, 0.2, 128, 1e-6)],
 )
 def test_stiff_trap_solves_converge(s, beta, R, n, tol_grad, tmp_path):
     # with the product preconditioner these stopped unconverged: |x|^6 at
-    # 121/187 iterations (exit 4), |x|^3 at 89, |x|^4 at 77/22
+    # 121/187 iterations (exit 4), |x|^3 at 89, |x|^4 at 77/22; |x|^6 at
+    # tol_grad 1e-6 still stops at the round-off floor
     out = tmp_path / "report.json"
     code = main(["solve", "--beta", str(beta), "--R", str(R), "--trap", "power",
                  "--trap-s", str(s), "--grid", str(n), "--box", "8",
@@ -259,12 +262,18 @@ def test_max_iters_reports_the_returned_state_gradient_norm(spec, trap):
     assert any(f"gradient norm {want:.3e}" in w for w in res.warnings)
 
 
-def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
+def cg_inputs(spec, trap):
+    """A state u, its gradient G, projected gradient g and a d = proj(g / 3)."""
     params = FunctionalParams(beta=0.5, R=0.2, trap=trap)
     u = initial_state(spec, SolverConfig(seed=3))
     _, G = energy_and_gradient(u, params)
     g = sphere_project(spec, G, u)
     d = sphere_project(spec, np.fft.ifft2(np.fft.fft2(g) / 3.0), u)
+    return u, G, g, d
+
+
+def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
+    u, G, g, d = cg_inputs(spec, trap)
     gd = inner(spec, g, d).real
 
     # p_prev = -d with b = 1000 makes d + b p_prev point uphill
@@ -285,6 +294,22 @@ def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
     p, slope = solver._cg_direction(spec, u, G, g, -g, None)
     assert p is g
     assert slope == -2.0 * inner(spec, g, G).real
+    assert slope < 0.0
+
+
+@pytest.mark.parametrize("overlap, restarts", [(0.1, False), (0.5, True), (-0.3, True)])
+def test_powell_test_restarts_when_gradients_overlap(spec, trap, overlap, restarts):
+    # g_prev = overlap g gives <g_prev, d> = overlap <g, d> and
+    # b = (1 - overlap) > 0; the combination would be a descent direction
+    u, G, g, d = cg_inputs(spec, trap)
+    gd = inner(spec, g, d).real
+    p_prev = sphere_project(spec, np.roll(d, 1, axis=0), u)
+    p, slope = solver._cg_direction(spec, u, G, g, d, (overlap * g, p_prev, gd))
+    if restarts:
+        assert p is d
+    else:
+        assert np.allclose(p, d + (1.0 - overlap) * sphere_project(spec, p_prev, u))
+    assert slope == pytest.approx(-2.0 * inner(spec, p, G).real)
     assert slope < 0.0
 
 
@@ -409,18 +434,29 @@ def test_coarse_started_solve_matches_single_level_solve(beta, trap):
     assert nested.breakdown.total == pytest.approx(single.breakdown.total, rel=1e-10)
 
 
-def test_reference_solve_spends_few_fine_iterations(trap):
+def test_reference_solve_spends_few_fine_iterations(trap, monkeypatch):
     # a single-level solve takes 17 iterations at n = 256; coarse levels
     # that sampled their own kernels left 11 and 6 to n = 128 and 256
     grid = GridSpec(n=256, half_width=8.0)
+    real_energy = solver.energy
+    calls = []
+
+    def counting_energy(*args, **kwargs):
+        calls.append(1)
+        return real_energy(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "energy", counting_energy)
     res = minimize(FunctionalParams(beta=1.0, R=0.1, trap=trap), grid,
                    SolverConfig(tol_grad=1e-5))
     assert res.converged
     assert len(res.level_iterations) == 3
     assert res.iterations == res.level_iterations[-1] <= 8
-    # 18 on n = 64 with the product preconditioner, 14 with the separable inverse
-    assert res.level_iterations[0] < 18
+    # 18 on n = 64 with the product preconditioner, 14 with the separable
+    # inverse, 9 with Powell's restart test
+    assert res.level_iterations[0] <= 10
     assert max(res.level_iterations[1:]) <= 1
+    # every first trial step is accepted: one line-search energy per iteration
+    assert len(calls) == sum(res.level_iterations)
     assert res.breakdown.total == pytest.approx(2.2664606841536585, rel=1e-10)
 
 
@@ -490,12 +526,12 @@ def test_stagnation_stops_unconverged(spec, trap):
     res = minimize(FunctionalParams(beta=1.0, R=0.0, trap=trap), spec,
                    SolverConfig(tol_grad=1e-13))
     assert not res.converged
-    assert res.iterations == 17
+    assert res.iterations == 15
     floor = 4e-16 * max(1.0, abs(res.breakdown.total))
     assert all(0.0 <= a - b <= floor for a, b in zip(res.energy_history[-4:],
                                                     res.energy_history[-3:]))
     assert res.warnings == [
-        f"not converged after 17 iterations: projected gradient norm "
+        f"not converged after 15 iterations: projected gradient norm "
         f"{res.grad_norm:.3e} (tol_grad 1e-13)"
     ]
 
