@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, WaveFunction, padded_irfft, padded_rfft, spectral_gradient
+from .grid import GridSpec, WaveFunction, padded_convolution, padded_rfft, spectral_gradient
 from .kernels import KernelSet
 
 
@@ -40,8 +40,8 @@ def vector_potential_of_spectrum(
     gx, gy = kernels.grad_w_fft
     h2 = spec.h**2
     A = np.empty((2, spec.n, spec.n))
-    np.multiply(-h2, padded_irfft(spec, rho_hat * gy), out=A[0])
-    np.multiply(h2, padded_irfft(spec, rho_hat * gx), out=A[1])
+    np.multiply(-h2, padded_convolution(spec, (rho_hat, gy)), out=A[0])
+    np.multiply(h2, padded_convolution(spec, (rho_hat, gx)), out=A[1])
     return A
 
 

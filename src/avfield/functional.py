@@ -41,7 +41,7 @@ from .grid import (
     WaveFunction,
     inner,
     integrate,
-    padded_irfft,
+    padded_convolution,
     padded_rfft,
 )
 from .kernels import KernelSet, TrapPotential, kernels_for, trap_values
@@ -75,6 +75,12 @@ class EnergyBreakdown:
         return self.kinetic + self.mixed + self.quartic
 
 
+def _ifft2(a: np.ndarray) -> np.ndarray:
+    """``ifft2(a)`` bit for bit in place; numpy 2.4's ``ifft2(a, out=a)`` leaves a unwritten."""
+    np.fft.ifft(a, axis=1, out=a)
+    return np.fft.ifft(a, axis=0, out=a)
+
+
 class StateFields:
     """One state's quantities shared by every term of the functional.
 
@@ -101,12 +107,13 @@ class StateFields:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        return np.fft.fft2(self.values)
+        s = np.fft.fft(self.values, axis=1)
+        return np.fft.fft(s, axis=0, out=s)  # fft2's passes, in place
 
     @cached_property
     def grad(self) -> tuple[np.ndarray, np.ndarray]:
         kx, ky = self.spec.wavenumbers()
-        return np.fft.ifft2(1j * kx * self.spectrum), np.fft.ifft2(1j * ky * self.spectrum)
+        return _ifft2(1j * kx * self.spectrum), _ifft2(1j * ky * self.spectrum)
 
     @cached_property
     def J(self) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +189,7 @@ def evaluate(
         bd = EnergyBreakdown(fields.kinetic, 0.0, 0.0, potential)
         if not with_gradient:
             return bd, None
-        return bd, np.fft.ifft2((kx**2 + ky**2) * fields.spectrum) + V * v
+        return bd, _ifft2((kx**2 + ky**2) * fields.spectrum) + V * v
 
     mixed = 2.0 * beta * fields.A_dot_J
     quartic = beta**2 * fields.rho_A2
@@ -191,26 +198,13 @@ def evaluate(
         return bd, None
     (ax, ay), (jx, jy) = fields.A, fields.J
 
-    # W from the gauge-covariant current Q = J + beta rho A; its two
-    # convolutions are summed in Fourier space before one inverse.  W comes
-    # before G: G's temporaries alongside the padded ones raise the peak RSS.
-    # Each component of Q is formed in the one buffer q.
+    # W from the gauge-covariant current Q = J + beta rho A: one blocked
+    # convolution of F(Q_y) gx - F(Q_x) gy.  W comes before G: G's
+    # temporaries alongside the convolution's raise the peak RSS.
     gx, gy = fields.kernels.grad_w_fft
-    q = np.multiply(beta, rho)
-    q *= ay
-    q += jy
-    w_hat = padded_rfft(spec, q)
-    w_hat *= gx
-    np.multiply(beta, rho, out=q)
-    q *= ax
-    q += jx
-    qx_hat = padded_rfft(spec, q)
-    del q
-    qx_hat *= gy
-    w_hat -= qx_hat
-    del qx_hat
-    W = (-2.0 * beta * spec.h**2) * padded_irfft(spec, w_hat)
-    del w_hat  # consumed by the inverse
+    W = (-2.0 * beta * spec.h**2) * padded_convolution(
+        spec, (beta * rho * ay + jy, gx), (beta * rho * ax + jx, gy)
+    )
 
     # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))
     # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint

@@ -11,12 +11,14 @@ box; the kernel tail beyond the padded box is truncated, an O(1/L)
 error controlled by the box size.
 
 Padded half spectra, shape (2n, n+1) indexed [ky, kx], are kx-major (the
-``.T`` of a C-ordered buffer), so both passes of a padded transform run
-along contiguous rows; the values are numpy's ``rfft2`` bit for bit.
-``padded_rfft`` leaves its argument as it is; ``padded_irfft`` consumes
-the spectrum it is handed, whose buffer its column pass overwrites.  A
+``.T`` of a C-ordered buffer), so the column pass of a padded transform runs
+along contiguous rows; the values are numpy's ``rfft2`` bit for bit.  A
 kernel's padded spectrum is ``padded_rfft`` of its 2n x 2n sample in FFT
 order (origin at index 0, offsets ``ifftshift(padded_axis())``).
+``padded_convolution`` never forms a whole padded product: it walks the kx
+columns BLOCK_BYTES at a time, from the row spectra of its real inputs (or
+a kept padded spectrum) through the products to the inverse column pass,
+and keeps only the n primary rows for the final row pass.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ import numpy as np
 
 from .errors import ConfigurationError, DomainError
 
-# source rows per block of padded_irfft's transpose copy
-TRANSPOSE_BLOCK = 32
+# bytes of one column block of padded_convolution (columns of 2n complex
+# samples): L2-sized, so the transposes between row and column passes stay
+# in cache; n = 64 is one block
+BLOCK_BYTES = 1 << 18
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -123,21 +127,40 @@ def padded_rfft(spec: GridSpec, f: np.ndarray) -> np.ndarray:
     return buf.T
 
 
-def padded_irfft(spec: GridSpec, fh: np.ndarray) -> np.ndarray:
-    """Primary n x n block of the real inverse of a (2n, n+1) padded half spectrum.
+def padded_convolution(spec: GridSpec, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Primary n x n block of ``irfft2(a_1 k_1 - a_2 k_2 - ..., s=(2n, 2n))``.
 
-    Equals ``irfft2(fh, s=(2n, 2n))[:n, :n]`` bit for bit; a kx-major fh
-    is read along contiguous rows.  Consumes fh: the column pass runs in
-    place, so callers hand over a complex product they own.
+    Each term pairs a kernel's padded spectrum k with a real n x n field,
+    zero-padded and transformed here, or with a padded spectrum a
+    (``padded_rfft``); the products after the first are subtracted, in
+    order.  Bit for bit the unblocked result: every column is the same 1-D
+    transform of the same data.  No argument is written to.
     """
-    n = spec.n
-    cols = np.fft.ifft(fh.T, axis=1, out=fh.T)
-    # the transpose is copied TRANSPOSE_BLOCK source rows at a time; a
-    # whole-array copy reads with a power-of-two stride that thrashes the cache
-    rows = np.empty((n, n + 1), dtype=cols.dtype)
-    for lo in range(0, n + 1, TRANSPOSE_BLOCK):
-        rows[:, lo : lo + TRANSPOSE_BLOCK] = cols[lo : lo + TRANSPOSE_BLOCK, :n].T
-    return np.fft.irfft(rows, n=2 * n, axis=1)[:, :n]
+    n, m = spec.n, 2 * spec.n
+    rows = [np.fft.rfft(a, n=m, axis=1) if a.shape == (n, n) else None for a, _ in terms]
+    # the inverse column pass overwrites the first row spectrum's columns once read
+    out = rows[0] if rows[0] is not None else np.empty((n, n + 1), dtype=complex)
+    width = max(1, BLOCK_BYTES // (16 * m))
+
+    def product(i, cols):
+        (a, k), r = terms[i], rows[i]
+        if r is None:
+            return a.T[cols] * k.T[cols]
+        b = np.zeros((len(k.T[cols]), m), dtype=complex)
+        b[:, :n] = r[:, cols].T  # the transpose, in cache
+        np.fft.fft(b, axis=1, out=b)
+        b *= k.T[cols]
+        return b
+
+    for lo in range(0, n + 1, width):
+        cols = slice(lo, lo + width)
+        acc = product(0, cols)
+        for i in range(1, len(terms)):
+            acc -= product(i, cols)
+        np.fft.ifft(acc, axis=1, out=acc)
+        out[:, cols] = acc[:, :n].T
+    del rows, acc  # all but the first row spectrum, before the row pass
+    return np.fft.irfft(out, n=m, axis=1)[:, :n]
 
 
 def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
@@ -152,7 +175,7 @@ def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarra
             f"kernel spectrum shape {kernel_hat.shape} does not match padded grid "
             f"({2 * n}, {n + 1})"
         )
-    return padded_irfft(spec, padded_rfft(spec, f) * kernel_hat) * spec.h**2
+    return padded_convolution(spec, (f, kernel_hat)) * spec.h**2
 
 
 @dataclass(frozen=True)

@@ -135,9 +135,10 @@ def trap_values(spec: GridSpec, trap: TrapPotential) -> np.ndarray:
 class KernelSet:
     """Padded-grid FFTs (``padded_rfft``, kx-major) of grad w_R and |grad w_R|^2.
 
-    ``grad_w_sq_fft`` is None for R = 0: |grad w_0|^2 is not locally
-    integrable and the singular two-body term is only offered for R > 0.
-    The samples themselves are not kept; every convolution reads the FFTs.
+    ``grad_w_sq_fft`` is the real part only, which is all the pair term
+    reads, and None for R = 0: |grad w_0|^2 is not locally integrable and
+    the singular two-body term is only offered for R > 0.  The samples
+    themselves are not kept; every convolution reads the FFTs.
     """
 
     grad_w_fft: tuple[np.ndarray, np.ndarray]
@@ -157,7 +158,7 @@ def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
         return KernelSet(grad_w_fft, None)
     np.square(g, out=g)
     g[0] += g[1]
-    return KernelSet(grad_w_fft, padded_rfft(spec, g[0]))
+    return KernelSet(grad_w_fft, padded_rfft(spec, g[0]).real.copy(order="F"))
 
 
 def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:

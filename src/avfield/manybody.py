@@ -65,11 +65,11 @@ def _pair_term(fields: StateFields) -> float:
     that also stand for their mirror images; no transform is made.
     """
     spec = fields.spec
-    g_sq = fields.kernels.grad_w_sq_fft
+    g_sq = fields.kernels.grad_w_sq_fft  # Re g_sq, kx-major
     if g_sq is None:
         raise DomainError("pair dispersion requires R > 0")
     rho_hat = fields.rho_hat
-    terms = g_sq.real * (rho_hat.real**2 + rho_hat.imag**2)
+    terms = g_sq * (rho_hat.real**2 + rho_hat.imag**2)
     total = 2.0 * terms.sum() - terms[:, 0].sum() - terms[:, -1].sum()
     return float(total) * spec.h**4 / (2 * spec.n) ** 2
 

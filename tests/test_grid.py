@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from avfield.errors import ConfigurationError, DomainError
+from avfield import grid
 from avfield.grid import (
     GridSpec,
     WaveFunction,
@@ -12,7 +13,7 @@ from avfield.grid import (
     inner,
     integrate,
     l2_norm,
-    padded_irfft,
+    padded_convolution,
     padded_rfft,
     spectral_gradient,
     spectral_laplacian,
@@ -120,16 +121,17 @@ def test_convolution_of_gaussians(spec):
         convolve(spec, f, kern)  # the samples, not their padded spectrum
 
 
-@pytest.mark.parametrize("n", [16, 64, 256])
-def test_padded_transforms_are_the_unpruned_numpy_ones(n):
-    # kx-major storage changes where the spectra lie in memory, not one bit
-    # of their values; padded_rfft leaves its argument as it is, and
-    # padded_irfft, which consumes its spectrum, is handed a copy
+@pytest.mark.parametrize("n", [16, 64, 256, 512])
+def test_padded_transforms_are_the_unpruned_numpy_ones(monkeypatch, n):
+    # kx-major storage and column blocks change where the spectra lie in
+    # memory, not one bit of their values, and neither routine writes to its
+    # arguments.  The n + 1 columns leave a ragged last block: one column
+    # from n = 128 up, and 2 or 3 of 5-column blocks at n = 16, 256 and 512.
     spec = GridSpec(n=n, half_width=4.0)
     rng = np.random.default_rng(n)
     f, g = rng.normal(size=(2, n, n))
     kern = rng.normal(size=(2 * n, 2 * n))
-    f0, kern0 = f.copy(), kern.copy()
+    f0, g0, kern0 = f.copy(), g.copy(), kern.copy()
 
     fh = padded_rfft(spec, f)
     assert fh.flags.f_contiguous and fh.shape == (2 * n, n + 1)
@@ -139,9 +141,21 @@ def test_padded_transforms_are_the_unpruned_numpy_ones(n):
     assert kh.tobytes() == np.fft.rfft2(np.fft.ifftshift(kern)).tobytes()
     assert np.array_equal(f, f0) and np.array_equal(kern, kern0)
 
-    for prod in (fh * padded_rfft(spec, g), fh * kh, np.ascontiguousarray(fh * kh)):
-        want = np.fft.irfft2(prod, s=(2 * n, 2 * n))[:n, :n]
-        assert padded_irfft(spec, prod.copy(order="K")).tobytes() == want.tobytes()
+    gh = padded_rfft(spec, g)
+    fh0 = fh.copy()
+    cases = [
+        ([(fh, kh)], fh * kh),  # a kept spectrum, as for A
+        ([(f, kh)], fh * kh),  # a real field, as in convolve
+        ([(f, kh), (g, gh)], fh * kh - gh * gh),  # the order of W's terms
+        ([(fh, kh), (g, kh)], fh * kh - gh * kh),
+    ]
+    for width in (None, 5):
+        if width is not None:
+            monkeypatch.setattr(grid, "BLOCK_BYTES", width * 16 * 2 * n)
+        for terms, prod in cases:
+            want = np.fft.irfft2(prod, s=(2 * n, 2 * n))[:n, :n]
+            assert padded_convolution(spec, *terms).tobytes() == want.tobytes()
+    assert np.array_equal(f, f0) and np.array_equal(g, g0) and np.array_equal(fh, fh0)
 
 
 def test_wavefunction_normalization(spec):

@@ -1,10 +1,13 @@
 """Live-memory budgets of the kernel build and of one evaluation, traced.
 
 The peaks are counted in n x n float64 arrays.  The in-place code peaks at
-25.1 arrays in the kernel build and 11.1 in the gradient; with a full-size
-temporary per intermediate (a centred sample shifted by a copy, a new array
-per product, an out-of-place padded inverse) they read 41.2 and 14.1.  Each
-bound lies in between.
+25.1 arrays in the kernel build, which keeps 10.1 (two complex spectra and
+the real pair kernel), and at 10.1 in the gradient, whose padded
+convolution holds one column block per term.  With a full-size temporary
+per intermediate (a centred sample shifted by a copy, a new array per
+product) the kernel build reads 41.2; the gradient reads 11.1 with whole
+padded spectra of Q and 14.1 with all columns in one block.  Each bound
+lies in between.
 """
 
 import tracemalloc
@@ -28,8 +31,10 @@ def traced_peak(fn) -> float:
 
 
 def test_kernel_build_peak():
-    # the three (2n, n+1) complex spectra it keeps are 12 arrays
     assert traced_peak(lambda: sample_kernels(SPEC, 0.1)) < 30.0
+    # two (2n, n+1) complex spectra and one real one, not three complex (12.1)
+    ks = sample_kernels(SPEC, 0.1)
+    assert sum(a.nbytes for a in (*ks.grad_w_fft, ks.grad_w_sq_fft)) / ARRAY < 10.5
 
 
 def test_gradient_after_energy_peak():
@@ -37,4 +42,4 @@ def test_gradient_after_energy_peak():
     kernels_for(SPEC, params.R)
     u = gaussian_state(SPEC, width=1.5, vortex=True)
     energy(u, params)  # A, J and the derivatives are kept on u
-    assert traced_peak(lambda: energy_and_gradient(u, params)) < 13.0
+    assert traced_peak(lambda: energy_and_gradient(u, params)) < 10.5
