@@ -177,8 +177,7 @@ def cmd_energy(args) -> int:
     R = args.R if args.R is not None else header.R
     params = ManyBodyParams(N=args.N, beta=beta, R=R, trap=_trap_from_args(args))
     bd = product_state_energy(u, params)
-    fp = FunctionalParams(beta=beta, R=R, trap=params.trap)
-    af = energy(u, fp).total
+    af = energy(u, params).total
     _emit(
         {
             "config": _resolved_config(args, {"beta": beta, "R": R}),

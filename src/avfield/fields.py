@@ -1,5 +1,9 @@
 """Derived physical fields: density, current, self-consistent vector potential.
 
+These are the one implementation of each; ``functional.StateFields``
+calls them and keeps what they return, so the energy, the gradient, the
+product-state terms and the diagnostics share one copy per state.
+
 The vector potential is the perpendicular-gradient convolution
 A[rho] = (-d2 w_R, d1 w_R) * rho, which is divergence-free by
 construction and satisfies curl A = 2 pi (rho smeared over the disc)
@@ -10,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, WaveFunction, padded_convolution, padded_rfft, spectral_gradient
+from .grid import GridSpec, WaveFunction, padded_convolution
 from .kernels import KernelSet
 
 
@@ -19,29 +23,31 @@ def density(u: WaveFunction) -> np.ndarray:
     return np.abs(u.values) ** 2
 
 
-def current(u: WaveFunction) -> np.ndarray:
-    """Phase current density J[u] = Im(conj(u) grad u), real by construction.
+def current(
+    v: np.ndarray, grad: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Phase current density J = Im(conj(v) grad v) from the samples and their gradient.
 
-    Shape (2, n, n).  Equals rho * grad(phase) for u = sqrt(rho) e^{i phi}.
+    Returns (J_x, J_y), equal to rho * grad(phase) for v = sqrt(rho) e^{i phi}.
+    The imaginary parts are copied, so no complex product stays pinned.
     """
-    v = u.values
-    return np.imag(np.conj(v) * np.stack(spectral_gradient(u.grid, v)))
+    cv = np.conj(v)
+    prod = np.multiply(cv, grad[0])
+    jx = prod.imag.copy()
+    np.multiply(cv, grad[1], out=prod)
+    return jx, prod.imag.copy()
 
 
 def vector_potential(spec: GridSpec, rho: np.ndarray, kernels: KernelSet) -> np.ndarray:
-    """A^R[rho] = perp-grad w_R * rho, shape (2, n, n)."""
-    return vector_potential_of_spectrum(spec, padded_rfft(spec, rho), kernels)
+    """A^R[rho] = perp-grad w_R * rho, shape (2, n, n).
 
-
-def vector_potential_of_spectrum(
-    spec: GridSpec, rho_hat: np.ndarray, kernels: KernelSet
-) -> np.ndarray:
-    """A^R[rho] from the padded spectrum ``padded_rfft(spec, rho)``."""
+    ``rho`` is the n x n density or its padded spectrum ``padded_rfft(spec, rho)``.
+    """
     gx, gy = kernels.grad_w_fft
     h2 = spec.h**2
     A = np.empty((2, spec.n, spec.n))
-    np.multiply(-h2, padded_convolution(spec, (rho_hat, gy)), out=A[0])
-    np.multiply(h2, padded_convolution(spec, (rho_hat, gx)), out=A[1])
+    np.multiply(-h2, padded_convolution(spec, (rho, gy)), out=A[0])
+    np.multiply(h2, padded_convolution(spec, (rho, gx)), out=A[1])
     return A
 
 
@@ -49,4 +55,3 @@ def curl_A(spec: GridSpec, A: np.ndarray) -> np.ndarray:
     """Spectral curl d1 A2 - d2 A1."""
     kx, ky = spec.wavenumbers()
     return np.fft.ifft2(1j * (kx * np.fft.fft2(A[1]) - ky * np.fft.fft2(A[0]))).real
-

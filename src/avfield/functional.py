@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .fields import vector_potential_of_spectrum
+from .fields import current, density, vector_potential
 from .grid import (
     GridSpec,
     WaveFunction,
@@ -89,21 +89,21 @@ class StateFields:
 
     - ``spectrum``: fft2 of u, one n x n transform;
     - ``grad``: (d_x u, d_y u) from the spectrum, two n x n inverses;
-    - ``J``: the phase current Im(conj(u) grad u), two real arrays;
+    - ``J``: the phase current ``fields.current`` from ``grad``, two real arrays;
     - ``rho_hat``: the padded spectrum of rho = |u|^2, one pruned padded
       transform shared by A and any other convolution of rho;
-    - ``A``: A^R[rho] from ``rho_hat``, two pruned padded inverses;
+    - ``A``: ``fields.vector_potential`` of ``rho_hat``, two pruned padded inverses;
     - ``kinetic``, ``A_dot_J``, ``rho_A2``: int |grad u|^2, int A.J, int rho |A|^2.
 
-    The density rho = |u|^2 is formed on construction, unless the caller
-    passes it in because it already has it.
+    The density ``fields.density`` is formed on construction, unless the
+    caller passes it in because it already has it.
     """
 
     def __init__(self, u: WaveFunction, kernels: KernelSet, rho: np.ndarray | None = None):
         self.spec = u.grid
         self.values = u.values
         self.kernels = kernels
-        self.rho = np.abs(u.values) ** 2 if rho is None else rho
+        self.rho = density(u) if rho is None else rho
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -117,12 +117,7 @@ class StateFields:
 
     @cached_property
     def J(self) -> tuple[np.ndarray, np.ndarray]:
-        # copies of the imaginary parts, so no complex product stays pinned
-        cu = np.conj(self.values)
-        prod = np.multiply(cu, self.grad[0])
-        jx = prod.imag.copy()
-        np.multiply(cu, self.grad[1], out=prod)
-        return jx, prod.imag.copy()
+        return current(self.values, self.grad)
 
     @cached_property
     def rho_hat(self) -> np.ndarray:
@@ -130,7 +125,7 @@ class StateFields:
 
     @cached_property
     def A(self) -> np.ndarray:
-        return vector_potential_of_spectrum(self.spec, self.rho_hat, self.kernels)
+        return vector_potential(self.spec, self.rho_hat, self.kernels)
 
     @cached_property
     def kinetic(self) -> float:
@@ -164,7 +159,7 @@ def state_fields(u: WaveFunction | StateFields, R: float) -> StateFields:
     return fields
 
 
-def evaluate(
+def _evaluate(
     fields: StateFields, params: FunctionalParams, with_gradient: bool
 ) -> tuple[EnergyBreakdown, np.ndarray | None]:
     """The functional's one evaluation path: breakdown, and G if asked.
@@ -244,13 +239,13 @@ def energy(u: WaveFunction | StateFields, params: FunctionalParams) -> EnergyBre
     ``kernels_for(u.grid, params.R)`` (this is how other kernels, such
     as restricted ones, are passed).
     """
-    return evaluate(state_fields(u, params.R), params, with_gradient=False)[0]
+    return _evaluate(state_fields(u, params.R), params, with_gradient=False)[0]
 
 
 def energy_and_gradient(
     u: WaveFunction | StateFields, params: FunctionalParams
 ) -> tuple[EnergyBreakdown, np.ndarray]:
-    """Breakdown and first variation G of the energy; see ``evaluate``.
+    """Breakdown and first variation G of the energy; see ``_evaluate``.
 
     ``u`` may be a ``StateFields``, as in ``energy``.  On a fresh state it
     costs 3 n x n transforms, two one-axis derivative pairs and 6 padded
@@ -258,7 +253,7 @@ def energy_and_gradient(
     two derivative pairs and 3 padded transforms (one n x n at beta = 0)
     and returns what a fresh state would, bit for bit.
     """
-    return evaluate(state_fields(u, params.R), params, with_gradient=True)
+    return _evaluate(state_fields(u, params.R), params, with_gradient=True)
 
 
 def sphere_project(spec: GridSpec, g: np.ndarray, u: WaveFunction) -> np.ndarray:

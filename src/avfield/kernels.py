@@ -117,16 +117,12 @@ class TrapPotential:
                 f"trap requires finite c > 0 and s > 0, got c={self.c}, s={self.s}"
             )
 
-    def values(self, spec: GridSpec) -> np.ndarray:
-        x, y = spec.meshgrid()
-        r = np.hypot(x, y)
-        return self.c * r**self.s
-
 
 @lru_cache(maxsize=8)
 def trap_values(spec: GridSpec, trap: TrapPotential) -> np.ndarray:
-    """Memoized ``trap.values(spec)``; read-only, since every caller shares it."""
-    values = trap.values(spec)
+    """V = c |x|^s on the grid, memoized; read-only, since every caller shares it."""
+    x, y = spec.meshgrid()
+    values = trap.c * np.hypot(x, y) ** trap.s
     values.flags.writeable = False
     return values
 

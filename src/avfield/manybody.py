@@ -17,27 +17,23 @@ Cauchy-Schwarz and decays exactly like 1/(N-1).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .functional import FunctionalParams, StateFields, evaluate, state_fields
+from .functional import FunctionalParams, StateFields, energy, state_fields
 from .grid import WaveFunction, convolve, integrate
-from .kernels import TrapPotential
 
 
 @dataclass(frozen=True)
-class ManyBodyParams:
+class ManyBodyParams(FunctionalParams):
+    """The functional's parameters and the particle number N, by keyword."""
+
     N: int
-    beta: float
-    R: float
-    trap: TrapPotential
 
     def __post_init__(self):
+        super().__post_init__()
         if self.N < 2:
             raise DomainError(f"need at least two particles, got N={self.N}")
-        if not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta}")
         if self.R <= 0:
             raise DomainError(
                 "the pair term int (|grad w_R|^2 * rho) rho diverges at R = 0; "
@@ -65,11 +61,8 @@ def _pair_term(fields: StateFields) -> float:
     that also stand for their mirror images; no transform is made.
     """
     spec = fields.spec
-    g_sq = fields.kernels.grad_w_sq_fft  # Re g_sq, kx-major
-    if g_sq is None:
-        raise DomainError("pair dispersion requires R > 0")
     rho_hat = fields.rho_hat
-    terms = g_sq * (rho_hat.real**2 + rho_hat.imag**2)
+    terms = fields.kernels.grad_w_sq_fft * (rho_hat.real**2 + rho_hat.imag**2)
     total = 2.0 * terms.sum() - terms[:, 0].sum() - terms[:, -1].sum()
     return float(total) * spec.h**4 / (2 * spec.n) ** 2
 
@@ -82,8 +75,7 @@ def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBre
     the kept padded density spectrum).
     """
     fields = state_fields(u, params.R)
-    fp = FunctionalParams(beta=params.beta, R=params.R, trap=params.trap)
-    bd, _ = evaluate(fields, fp, with_gradient=False)
+    bd = energy(fields, params)
     one_body = bd.kinetic + bd.potential
 
     beta, N = params.beta, params.N

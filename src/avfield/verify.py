@@ -223,8 +223,9 @@ def manybody_suite(samples: int, seed: int) -> dict:
             beta = float(rng.uniform(-2.0, 2.0))
             R = float(rng.uniform(0.1, 0.5))
             N = int(rng.integers(2, 1000))
-            bd = product_state_energy(u, ManyBodyParams(N=N, beta=beta, R=R, trap=trap))
-            af = energy(u, FunctionalParams(beta=beta, R=R, trap=trap)).total
+            params = ManyBodyParams(N=N, beta=beta, R=R, trap=trap)
+            bd = product_state_energy(u, params)
+            af = energy(u, params).total
             gaps.append((bd.per_particle_total - af) * (N - 1))
             yield u, R
 

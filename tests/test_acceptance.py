@@ -20,7 +20,14 @@ from avfield.geometry import (
     random_triangles,
     regime_triangles,
 )
-from avfield.grid import GridSpec, WaveFunction, inner, integrate, spectral_laplacian
+from avfield.grid import (
+    GridSpec,
+    WaveFunction,
+    inner,
+    integrate,
+    spectral_gradient,
+    spectral_laplacian,
+)
 from avfield.kernels import SmearedCoulomb, TrapPotential, kernels_for, lp_norm_grad_w
 from avfield.manybody import ManyBodyParams, product_state_energy
 from avfield.solver import SolverConfig, SolveResult, minimize, sweep
@@ -206,7 +213,7 @@ def test_criterion_06_r_to_zero_rate():
     k0 = kernels_for(spec, 0.0)
     A = vector_potential(spec, rho, k0)
     A_lap = vector_potential(spec, spectral_laplacian(spec, rho).real, k0)
-    J = current(u)
+    J = current(u.values, spectral_gradient(spec, u.values))
     G = float(
         integrate(
             spec,

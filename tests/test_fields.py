@@ -1,14 +1,30 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from avfield.fields import curl_A, current, density, vector_potential
-from avfield.grid import GridSpec, WaveFunction, gaussian_state, integrate
-from avfield.kernels import kernels_for
+from avfield.functional import FunctionalParams, StateFields, energy
+from avfield.grid import (
+    GridSpec,
+    WaveFunction,
+    gaussian_state,
+    integrate,
+    padded_rfft,
+    spectral_gradient,
+)
+from avfield.kernels import TrapPotential, kernels_for
+from avfield.verify import smooth_state
 
 
 @pytest.fixture
 def spec():
     return GridSpec(n=128, half_width=8.0)
+
+
+def current_of(u):
+    return np.stack(current(u.values, spectral_gradient(u.grid, u.values)))
 
 
 def test_density_and_mass(spec):
@@ -20,14 +36,14 @@ def test_density_and_mass(spec):
 
 def test_current_vanishes_for_real_states(spec):
     u = gaussian_state(spec)
-    J = current(u)
+    J = current_of(u)
     assert np.abs(J).max() < 1e-14
 
 
 def test_current_of_vortex_is_azimuthal(spec):
     # u = (x+iy) g(r) has phase atan2(y, x), so J = rho * (-y, x)/r^2
     u = gaussian_state(spec, vortex=True)
-    J = current(u)
+    J = current_of(u)
     x, y = spec.meshgrid()
     r2 = x**2 + y**2
     rho = density(u)
@@ -43,7 +59,7 @@ def test_current_of_boosted_state(spec):
     x, y = spec.meshgrid()
     env = np.exp(-(x**2 + y**2) / 2.0)
     u = WaveFunction(spec, env * np.exp(1j * (0.7 * x - 0.2 * y))).normalized()
-    J = current(u)
+    J = current_of(u)
     rho = density(u)
     assert np.allclose(J[0], 0.7 * rho, atol=1e-10)
     assert np.allclose(J[1], -0.2 * rho, atol=1e-10)
@@ -97,3 +113,45 @@ def test_vector_potential_of_radial_density_is_azimuthal(spec):
     with np.errstate(invalid="ignore"):
         assert np.allclose(A[0][mask], (-y / r2 * q)[mask], atol=5e-3)
         assert np.allclose(A[1][mask], (x / r2 * q)[mask], atol=5e-3)
+
+
+@pytest.mark.parametrize("n", [16, 64, 512])
+def test_state_fields_are_the_fields_functions(n):
+    # A from the density and from its padded spectrum, and the cached J
+    # against the current of a separately taken gradient: the same bytes
+    spec = GridSpec(n=n, half_width=8.0)
+    u = smooth_state(spec, np.random.default_rng(n))
+    kernels = kernels_for(spec, 0.1)
+    rho = density(u)
+    A = vector_potential(spec, rho, kernels)
+    assert A.tobytes() == vector_potential(spec, padded_rfft(spec, rho), kernels).tobytes()
+    fields = StateFields(u, kernels)
+    assert fields.A.tobytes() == A.tobytes()
+    J = current(u.values, spectral_gradient(spec, u.values))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(fields.J, J, strict=True))
+
+
+def test_energy_runs_the_traced_fields_functions():
+    # the benchmark's tracer times fields.vector_potential and fields.current
+    # by name, so they must be what an evaluation calls, once per state
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    module_spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(tracing)
+    grid = GridSpec(n=64, half_width=8.0)
+    u = smooth_state(grid, np.random.default_rng(3))
+    params = FunctionalParams(beta=1.0, R=0.2, trap=TrapPotential())
+    tracer = tracing.Tracer(grid.n)
+    tracer.install()
+    try:
+        with tracer.span(0):
+            energy(u, params)
+            first = [s.name for s in tracer.spans]
+            energy(u, params)
+            second = [s.name for s in tracer.spans[len(first):]]
+    finally:
+        tracer.uninstall()
+    assert first.count("fields.vector_potential") == 1
+    assert first.count("fields.current") == 1
+    assert "fields.vector_potential" not in second
+    assert "fields.current" not in second

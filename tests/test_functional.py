@@ -23,7 +23,7 @@ from avfield.grid import (
     spectral_gradient,
     spectral_laplacian,
 )
-from avfield.kernels import TrapPotential, kernels_for
+from avfield.kernels import TrapPotential, kernels_for, trap_values
 from avfield.manybody import ManyBodyParams, product_state_energy
 from avfield.solver import SolverConfig, minimize
 from avfield.verify import abs_kinetic, energy_alt, smooth_state
@@ -124,7 +124,7 @@ def plain_energy_and_gradient(u, params):
     """
     spec, v, beta = u.grid, u.values, params.beta
     rho = np.abs(v) ** 2
-    V = params.trap.values(spec)
+    V = trap_values(spec, params.trap)
     gx, gy = kernels_for(spec, params.R).grad_w_fft
     ux, uy = spectral_gradient(spec, v)
     ax = -convolve(spec, rho, gy)
@@ -168,7 +168,7 @@ def test_evaluation_core_matches_plain_formulas(spec, trap, beta, R):
 def two_axis_gradient(u, params):
     """G with the linear part -lap u - i beta div(A u) taken through three
     2-D transforms, fft2(A_x u), fft2(A_y u) and one ifft2 of their sum
-    with k^2 u_hat; every other term from the same fields as ``evaluate``."""
+    with k^2 u_hat; every other term from the same fields as ``energy_and_gradient``."""
     spec, v, beta = u.grid, u.values, params.beta
     fields = StateFields(u, kernels_for(spec, params.R))
     rho, (ax, ay), (jx, jy), (ux, uy) = fields.rho, fields.A, fields.J, fields.grad
@@ -179,7 +179,7 @@ def two_axis_gradient(u, params):
     W = -2.0 * beta * (convolve(spec, jy + beta * rho * ay, gx)
                        - convolve(spec, jx + beta * rho * ax, gy))
     G = np.fft.ifft2(lin_hat) - 1j * beta * (ax * ux + ay * uy)
-    return G + (beta**2 * (ax**2 + ay**2) + params.trap.values(spec) + W) * v
+    return G + (beta**2 * (ax**2 + ay**2) + trap_values(spec, params.trap) + W) * v
 
 
 @pytest.mark.parametrize("beta", [0.7, 4.0])

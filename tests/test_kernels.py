@@ -15,6 +15,7 @@ from avfield.kernels import (
     lp_norm_grad_w,
     restrict,
     sample_kernels,
+    trap_values,
 )
 from avfield.solver import _prolong
 from avfield.verify import smooth_state
@@ -121,7 +122,7 @@ def test_trap_validation_and_values():
         with pytest.raises(DomainError, match="finite c > 0 and s > 0"):
             TrapPotential(c=c, s=s)
     spec = GridSpec(n=16, half_width=2.0)
-    v = TrapPotential(c=2.0, s=4.0).values(spec)
+    v = trap_values(spec, TrapPotential(c=2.0, s=4.0))
     x, y = spec.meshgrid()
     assert np.allclose(v, 2.0 * (x**2 + y**2) ** 2)
 

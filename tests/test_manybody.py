@@ -39,6 +39,18 @@ def test_params_validation(trap):
         ManyBodyParams(N=1, beta=1.0, R=0.2, trap=trap)
     with pytest.raises(DomainError):
         ManyBodyParams(N=5, beta=1.0, R=0.0, trap=trap)
+    for beta in (np.nan, np.inf):
+        with pytest.raises(DomainError, match="beta must be finite"):
+            ManyBodyParams(N=5, beta=beta, R=0.2, trap=trap)
+    assert isinstance(ManyBodyParams(N=5, beta=1.0, R=0.2, trap=trap), FunctionalParams)
+
+
+def test_manybody_params_evaluate_the_functional(spec, trap):
+    # one parameter object serves both energies, with the functional's value
+    u = phased_state(spec, 6)
+    mp = ManyBodyParams(N=5, beta=0.8, R=0.2, trap=trap)
+    fp = FunctionalParams(beta=0.8, R=0.2, trap=trap)
+    assert energy(u, mp) == energy(WaveFunction(spec, u.values.copy()), fp)
 
 
 def test_three_body_vanishes_at_two_particles(spec, trap):
