@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridSpec, WaveFunction, padded_convolution
+from .grid import BLOCK_BYTES, GridSpec, WaveFunction, padded_convolution
 from .kernels import KernelSet
 
 
@@ -29,13 +29,14 @@ def current(
     """Phase current density J = Im(conj(v) grad v) from the samples and their gradient.
 
     Returns (J_x, J_y), equal to rho * grad(phase) for v = sqrt(rho) e^{i phi}.
-    The imaginary parts are copied, so no complex product stays pinned.
+    The complex products are formed BLOCK_BYTES of rows at a time: only J is full size.
     """
-    cv = np.conj(v)
-    prod = np.multiply(cv, grad[0])
-    jx = prod.imag.copy()
-    np.multiply(cv, grad[1], out=prod)
-    return jx, prod.imag.copy()
+    J = np.empty(v.shape), np.empty(v.shape)
+    step = max(1, BLOCK_BYTES // (16 * v.shape[1]))
+    for rows in (slice(lo, lo + step) for lo in range(0, len(v), step)):
+        for c in (0, 1):
+            J[c][rows] = np.multiply(np.conj(v[rows]), grad[c][rows]).imag
+    return J
 
 
 def vector_potential(spec: GridSpec, rho: np.ndarray, kernels: KernelSet) -> np.ndarray:
@@ -43,11 +44,11 @@ def vector_potential(spec: GridSpec, rho: np.ndarray, kernels: KernelSet) -> np.
 
     ``rho`` is the n x n density or its padded spectrum ``padded_rfft(spec, rho)``.
     """
-    gx, gy = kernels.grad_w_fft
+    sx, sy = kernels.grad_w_fft
     h2 = spec.h**2
     A = np.empty((2, spec.n, spec.n))
-    np.multiply(-h2, padded_convolution(spec, (rho, gy)), out=A[0])
-    np.multiply(h2, padded_convolution(spec, (rho, gx)), out=A[1])
+    np.multiply(-h2, padded_convolution(spec, (rho, sy), factor=1j), out=A[0])
+    np.multiply(h2, padded_convolution(spec, (rho, sx), factor=1j), out=A[1])
     return A
 
 

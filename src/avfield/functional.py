@@ -194,11 +194,11 @@ def _evaluate(
     (ax, ay), (jx, jy) = fields.A, fields.J
 
     # W from the gauge-covariant current Q = J + beta rho A: one blocked
-    # convolution of F(Q_y) gx - F(Q_x) gy.  W comes before G: G's
+    # convolution of F(Q_y) i Sx - F(Q_x) i Sy.  W comes before G: G's
     # temporaries alongside the convolution's raise the peak RSS.
-    gx, gy = fields.kernels.grad_w_fft
+    sx, sy = fields.kernels.grad_w_fft
     W = (-2.0 * beta * spec.h**2) * padded_convolution(
-        spec, (beta * rho * ay + jy, gx), (beta * rho * ax + jx, gy)
+        spec, (beta * rho * ay + jy, sx), (beta * rho * ax + jx, sy), factor=1j
     )
 
     # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))

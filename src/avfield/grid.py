@@ -14,7 +14,8 @@ Padded half spectra, shape (2n, n+1) indexed [ky, kx], are kx-major (the
 ``.T`` of a C-ordered buffer), so the column pass of a padded transform runs
 along contiguous rows; the values are numpy's ``rfft2`` bit for bit.  A
 kernel's padded spectrum is ``padded_rfft`` of its 2n x 2n sample in FFT
-order (origin at index 0, offsets ``ifftshift(padded_axis())``).
+order (origin at index 0, offsets ``ifftshift(padded_axis())``); an odd
+kernel's is i S, S real (``kernels``), convolved with ``factor=1j``.
 ``padded_convolution`` never forms a whole padded product: it walks the kx
 columns BLOCK_BYTES at a time, from the row spectra of its real inputs (or
 a kept padded spectrum) through the products to the inverse column pass,
@@ -127,14 +128,15 @@ def padded_rfft(spec: GridSpec, f: np.ndarray) -> np.ndarray:
     return buf.T
 
 
-def padded_convolution(spec: GridSpec, *terms: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Primary n x n block of ``irfft2(a_1 k_1 - a_2 k_2 - ..., s=(2n, 2n))``.
+def padded_convolution(spec: GridSpec, *terms: tuple, factor: complex = 1.0) -> np.ndarray:
+    """Primary n x n block of ``irfft2(factor (a_1 k_1 - a_2 k_2 - ...), s=(2n, 2n))``.
 
-    Each term pairs a kernel's padded spectrum k with a real n x n field,
-    zero-padded and transformed here, or with a padded spectrum a
-    (``padded_rfft``); the products after the first are subtracted, in
-    order.  Bit for bit the unblocked result: every column is the same 1-D
-    transform of the same data.  No argument is written to.
+    Each term pairs a kernel's padded spectrum k (real for an odd kernel's S,
+    with factor 1j) with a real n x n field, zero-padded and transformed here,
+    or with a padded spectrum a (``padded_rfft``); the products after the
+    first are subtracted, in order.  At factor 1, bit for bit the unblocked
+    result: every column is the same 1-D transform of the same data.  No
+    argument is written to.
     """
     n, m = spec.n, 2 * spec.n
     rows = [np.fft.rfft(a, n=m, axis=1) if a.shape == (n, n) else None for a, _ in terms]
@@ -149,7 +151,8 @@ def padded_convolution(spec: GridSpec, *terms: tuple[np.ndarray, np.ndarray]) ->
         b = np.zeros((len(k.T[cols]), m), dtype=complex)
         b[:, :n] = r[:, cols].T  # the transpose, in cache
         np.fft.fft(b, axis=1, out=b)
-        b *= k.T[cols]
+        for part in (b,) if np.iscomplexobj(k) else (b.real, b.imag):  # no cast buffer
+            part *= k.T[cols]
         return b
 
     for lo in range(0, n + 1, width):
@@ -158,6 +161,8 @@ def padded_convolution(spec: GridSpec, *terms: tuple[np.ndarray, np.ndarray]) ->
         for i in range(1, len(terms)):
             acc -= product(i, cols)
         np.fft.ifft(acc, axis=1, out=acc)
+        if factor != 1.0:
+            acc *= factor  # all 2n rows: scaling a strided view would copy it
         out[:, cols] = acc[:, :n].T
     del rows, acc  # all but the first row spectrum, before the row pass
     return np.fft.irfft(out, n=m, axis=1)[:, :n]

@@ -23,6 +23,13 @@ approaches the point-like one as R -> 0:
 - for a C^2 density chi_R * rho - rho = (R^2/8) Lap rho + O(R^4), so the
   leading term of A_R[rho] - A_0[rho], and of the energy difference at a
   minimizer, is O(R^2).
+
+The gradient kernels are kept as real spectra.  The padded-grid sample g of
+d w_R / dx is odd in x and even in y but on its column x = -2L (offset n), which
+no primary-box output reads, as there |i - j| <= n - 1.  That column is even in
+y and adds a real part only, so g without it has the spectrum i Sx, exactly,
+with Sx = Im ``padded_rfft``(g).  d w_R / dy is g^T: Sy[ky, kx] = Sx[kx, ky],
+and -Sx[kx, 2n - ky] for ky > n.
 """
 
 from __future__ import annotations
@@ -61,13 +68,13 @@ class SmearedCoulomb:
         return out
 
     def grad_w(self, x, y) -> np.ndarray:
-        """Gradient at the points (x, y), which broadcast together.
+        """(d w_R / dx, d w_R / dy) at the points (x, y), which broadcast, stacked on axis 0."""
+        return np.stack([self.grad_w_x(x, y), self.grad_w_x(y, x)])
 
-        Returns the x and y components stacked on a leading axis of length 2.
-        Odd, with grad_w(0) = 0: for R = 0 the origin sample is 0 by the
-        symmetric principal-value convention for the odd kernel.  Coordinate
-        planes such as ``a[np.newaxis, :]`` and ``a[:, np.newaxis]`` give the
-        gradient on the grid a x a without forming its coordinates.
+    def grad_w_x(self, x, y) -> np.ndarray:
+        """d w_R / dx at (x, y), odd in x and even in y; d w_R / dy is ``grad_w_x(y, x)``.
+
+        The origin sample is 0: for R = 0 by the principal-value convention.
         """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         denom = x**2 + y**2
@@ -75,10 +82,8 @@ class SmearedCoulomb:
         denom[origin] = 1.0
         if self.R > 0.0:
             np.maximum(denom, self.R**2, out=denom)
-        g = np.empty((2, *denom.shape))
-        np.divide(x, denom, out=g[0])
-        np.divide(y, denom, out=g[1])
-        g[:, origin] = 0.0
+        g = np.divide(x, denom, out=denom)
+        g[origin] = 0.0
         return g
 
 
@@ -129,12 +134,12 @@ def trap_values(spec: GridSpec, trap: TrapPotential) -> np.ndarray:
 
 @dataclass
 class KernelSet:
-    """Padded-grid FFTs (``padded_rfft``, kx-major) of grad w_R and |grad w_R|^2.
+    """Real padded spectra (``padded_rfft`` layout, kx-major) of grad w_R and |grad w_R|^2.
 
-    ``grad_w_sq_fft`` is the real part only, which is all the pair term
-    reads, and None for R = 0: |grad w_0|^2 is not locally integrable and
-    the singular two-body term is only offered for R > 0.  The samples
-    themselves are not kept; every convolution reads the FFTs.
+    ``grad_w_fft`` is (Sx, Sy), the spectra of the two components being i Sx
+    and i Sy (``sample_kernels``).  ``grad_w_sq_fft`` is None for R = 0:
+    |grad w_0|^2 is not locally integrable and the singular two-body term
+    is only offered for R > 0.  The samples themselves are not kept.
     """
 
     grad_w_fft: tuple[np.ndarray, np.ndarray]
@@ -142,19 +147,22 @@ class KernelSet:
 
 
 def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
-    """Sample grad w_R on the 2n x 2n padded grid and keep the FFTs.
+    """Sample d w_R / dx on the 2n x 2n padded grid and keep the real spectra.
 
-    The sample is taken in FFT order (origin at index 0), which is what
-    the transform reads, so no centred copy is shifted.
+    The sample g is taken in FFT order (origin at index 0), which is what
+    the transform reads; d w_R / dy is g^T, bit for bit.
     """
+    n = spec.n
     a = np.fft.ifftshift(spec.padded_axis())
-    g = SmearedCoulomb(R).grad_w(a[np.newaxis, :], a[:, np.newaxis])
-    grad_w_fft = (padded_rfft(spec, g[0]), padded_rfft(spec, g[1]))
+    g = SmearedCoulomb(R).grad_w_x(a[np.newaxis, :], a[:, np.newaxis])
+    sx = padded_rfft(spec, g).imag.copy(order="F")
+    sy = np.empty((n + 1, 2 * n))  # Sy^T, C-ordered (see the module docstring)
+    np.concatenate([sx[: n + 1], -sx[: n + 1, n - 1 : 0 : -1]], axis=1, out=sy)
     if R == 0.0:
-        return KernelSet(grad_w_fft, None)
+        return KernelSet((sx, sy.T), None)
     np.square(g, out=g)
-    g[0] += g[1]
-    return KernelSet(grad_w_fft, padded_rfft(spec, g[0]).real.copy(order="F"))
+    g += g.T
+    return KernelSet((sx, sy.T), padded_rfft(spec, g).real.copy(order="F"))
 
 
 def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:

@@ -97,10 +97,10 @@ def mixed_term_crosscheck(u: WaveFunction, R: float) -> tuple[float, float]:
     spec = u.grid
     fields = state_fields(u, R)
     J = fields.J
-    gx, gy = fields.kernels.grad_w_fft
-    # inner integral of the unfolded form; the kernel components are odd,
-    # so convolving J against +g gives the sign-flipped evaluation
-    b1 = convolve(spec, J[0], gy) - convolve(spec, J[1], gx)
+    sx, sy = fields.kernels.grad_w_fft
+    # inner integral of the unfolded form, through the spectra i S; the kernel
+    # components are odd, so convolving J against +g gives the sign-flipped evaluation
+    b1 = convolve(spec, J[0], 1j * sy) - convolve(spec, J[1], 1j * sx)
     route_a = 2.0 * float(integrate(spec, fields.rho * b1))
     route_b = 2.0 * fields.A_dot_J
     return route_a, route_b

@@ -117,3 +117,34 @@ def test_checkouts_at_paths_of_unequal_length_are_refused(tmp_path, monkeypatch,
     code = bench_pairs.main(["--parent", str(tmp_path / "parent"),
                              "--change", str(tmp_path / "change"), *argv])
     assert code == 0 and len(json.loads(out.read_text())["workloads"]["geometry"]["pairs"]) == 2
+
+
+def test_claims_outside_the_run_are_refused(tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+
+    monkeypatch.setattr(bench_pairs, "run_once", never)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(json.dumps({
+        "command": ["python3", "run.py"],
+        "end_to_end": [{"name": "op_s", "better": "lower", "bound": 0.25},
+                       {"name": "peak_rss_mb", "better": "lower", "bound": 0.1}]}))
+    out = tmp_path / "pairs.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "geometry", "--seeds", "1-2", "--seconds", "1", "--out", str(out)]
+    # a workload the run does not measure, a per-layer metric, a typo, no metric
+    for claim in ("eval-n512:op_s", "geometry:grid.convolve_s", "geometry:op_sec",
+                  "geometry"):
+        assert bench_pairs.main([*argv, "--claim", claim]) == 2
+        assert f"--claim {claim} names no" in capsys.readouterr().err
+    assert not out.exists()
+
+    def canned(checkout, command, workload, seed, seconds):
+        return {"metrics": {"op_s": 0.2, "peak_rss_mb": 100.0}, "correct": True,
+                "failed": 0, "attempted": 5}
+
+    monkeypatch.setattr(bench_pairs, "run_once", canned)
+    assert bench_pairs.main([*argv, "--claim", "geometry:op_s"]) == 0
+    metrics = json.loads(out.read_text())["workloads"]["geometry"]["metrics"]
+    assert metrics["op_s"]["claimed"] and not metrics["peak_rss_mb"]["claimed"]

@@ -14,7 +14,7 @@ from avfield.grid import (
     padded_rfft,
     spectral_gradient,
 )
-from avfield.kernels import TrapPotential, kernels_for
+from avfield.kernels import SmearedCoulomb, TrapPotential, kernels_for
 from avfield.verify import smooth_state
 
 
@@ -113,6 +113,19 @@ def test_vector_potential_of_radial_density_is_azimuthal(spec):
     with np.errstate(invalid="ignore"):
         assert np.allclose(A[0][mask], (-y / r2 * q)[mask], atol=5e-3)
         assert np.allclose(A[1][mask], (x / r2 * q)[mask], atol=5e-3)
+
+
+@pytest.mark.parametrize("R", [0.0, 0.3])
+def test_vector_potential_is_the_direct_sum(R):
+    # A(x_i) = h^2 sum_j perp-grad w_R(x_i - x_j) rho_j over all n^4 pairs of
+    # grid points: their offsets never reach the padded sample's -2L line
+    spec = GridSpec(n=16, half_width=2.0)
+    rho = np.random.default_rng(8).random((16, 16))
+    x, y = (c.ravel() for c in spec.meshgrid())
+    gx, gy = SmearedCoulomb(R).grad_w(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    want = spec.h**2 * np.stack([-gy @ rho.ravel(), gx @ rho.ravel()]).reshape(2, 16, 16)
+    got = vector_potential(spec, rho, kernels_for(spec, R))
+    assert np.abs(got - want).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [16, 64, 512])

@@ -125,7 +125,7 @@ def plain_energy_and_gradient(u, params):
     spec, v, beta = u.grid, u.values, params.beta
     rho = np.abs(v) ** 2
     V = trap_values(spec, params.trap)
-    gx, gy = kernels_for(spec, params.R).grad_w_fft
+    gx, gy = (1j * s for s in kernels_for(spec, params.R).grad_w_fft)  # the complex spectra
     ux, uy = spectral_gradient(spec, v)
     ax = -convolve(spec, rho, gy)
     ay = convolve(spec, rho, gx)
@@ -175,7 +175,7 @@ def two_axis_gradient(u, params):
     kx, ky = spec.wavenumbers()
     lin_hat = (kx**2 + ky**2) * fields.spectrum
     lin_hat += beta * (kx * np.fft.fft2(ax * v) + ky * np.fft.fft2(ay * v))
-    gx, gy = fields.kernels.grad_w_fft
+    gx, gy = (1j * s for s in fields.kernels.grad_w_fft)
     W = -2.0 * beta * (convolve(spec, jy + beta * rho * ay, gx)
                        - convolve(spec, jx + beta * rho * ax, gy))
     G = np.fft.ifft2(lin_hat) - 1j * beta * (ax * ux + ay * uy)

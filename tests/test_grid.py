@@ -124,8 +124,8 @@ def test_convolution_of_gaussians(spec):
 @pytest.mark.parametrize("n", [16, 64, 256, 512])
 def test_padded_transforms_are_the_unpruned_numpy_ones(monkeypatch, n):
     # kx-major storage and column blocks change where the spectra lie in
-    # memory, not one bit of their values, and neither routine writes to its
-    # arguments.  The n + 1 columns leave a ragged last block: one column
+    # memory, not one bit of their values (a real kernel taken with factor 1j
+    # is checked to round-off), and neither routine writes to its arguments.  The n + 1 columns leave a ragged last block: one column
     # from n = 128 up, and 2 or 3 of 5-column blocks at n = 16, 256 and 512.
     spec = GridSpec(n=n, half_width=4.0)
     rng = np.random.default_rng(n)
@@ -155,6 +155,13 @@ def test_padded_transforms_are_the_unpruned_numpy_ones(monkeypatch, n):
         for terms, prod in cases:
             want = np.fft.irfft2(prod, s=(2 * n, 2 * n))[:n, :n]
             assert padded_convolution(spec, *terms).tobytes() == want.tobytes()
+        # a real kernel array s with factor 1j is the spectrum i s
+        s = kh.imag.copy(order="F")
+        want = np.fft.irfft2(1j * (fh * s - gh * s), s=(2 * n, 2 * n))[:n, :n]
+        for terms in ([(fh, s), (g, s)], [(f, s), (gh, s)]):
+            got = padded_convolution(spec, *terms, factor=1j)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.array_equal(s, kh.imag)
     assert np.array_equal(f, f0) and np.array_equal(g, g0) and np.array_equal(fh, fh0)
 
 

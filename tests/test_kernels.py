@@ -6,7 +6,7 @@ from scipy.integrate import quad
 
 from avfield.errors import ConfigurationError, DomainError
 from avfield.functional import FunctionalParams, StateFields, energy, energy_and_gradient
-from avfield.grid import GridSpec, WaveFunction, inner
+from avfield.grid import GridSpec, WaveFunction, inner, padded_rfft
 from avfield.kernels import (
     SmearedCoulomb,
     TrapPotential,
@@ -147,6 +147,30 @@ FINE = GridSpec(n=256, half_width=8.0)
 COARSE = GridSpec(n=64, half_width=8.0)
 
 
+@pytest.mark.parametrize("R", [0.0, 0.3])
+def test_gradient_spectra_are_real_and_sy_is_sx_mirrored(R):
+    spec = GridSpec(n=32, half_width=2.0)
+    n = spec.n
+    a = np.fft.ifftshift(spec.padded_axis())
+    gx, gy = SmearedCoulomb(R).grad_w(a[np.newaxis, :], a[:, np.newaxis])
+    ks = sample_kernels(spec, R)
+    sx, sy = ks.grad_w_fft
+    scale = np.abs(sx).max()
+    # Sx is the imaginary part of the x sample's own transform; the mirrored
+    # Sy that of the y sample, to round-off
+    assert np.array_equal(sx, padded_rfft(spec, gx).imag)
+    assert np.abs(sy - padded_rfft(spec, gy).imag).max() <= 1e-13 * scale
+    if R > 0.0:
+        assert np.array_equal(ks.grad_w_sq_fft, padded_rfft(spec, gx**2 + gy**2).real)
+    # without the offset-n line (x = -2L for gx, y = -2L for gy) the
+    # transform is imaginary to round-off; with it, it is not
+    for g, line in ((gx, np.s_[:, n]), (gy, np.s_[n, :])):
+        zeroed = g.copy()
+        zeroed[line] = 0.0
+        assert np.abs(padded_rfft(spec, zeroed).real).max() <= 1e-13 * scale
+        assert np.abs(padded_rfft(spec, g).real).max() > 1e-3 * scale
+
+
 @pytest.mark.parametrize("R", [0.0, 0.05, 0.1, 0.4])
 def test_restricted_kernels_are_the_galerkin_coarse_operator(R):
     # a coarse state and its spectral prolongation have the same energy,
@@ -181,11 +205,11 @@ def test_gradient_contract_with_restricted_kernels():
 
 def test_kernel_spectra_are_kx_major():
     # the layout of padded_rfft's spectra, so products keep it and the
-    # padded inverse reads contiguous rows
+    # padded inverse reads contiguous rows; all three are real arrays
     fine = kernels_for(FINE, 0.1)
     for ks in (fine, restrict(fine, FINE, COARSE)):
         for fh in (*ks.grad_w_fft, ks.grad_w_sq_fft):
-            assert fh.flags.f_contiguous
+            assert fh.flags.f_contiguous and fh.dtype == np.float64
 
 
 @pytest.mark.parametrize("R", [0.0, 0.1])

@@ -1,12 +1,14 @@
 """Live-memory budgets of the kernel build and of one evaluation, traced.
 
 The peaks are counted in n x n float64 arrays.  The in-place code peaks at
-25.1 arrays in the kernel build, which keeps 10.1 (two complex spectra and
-the real pair kernel), and at 10.1 in the gradient, whose padded
-convolution holds one column block per term.  With a full-size temporary
-per intermediate (a centred sample shifted by a copy, a new array per
-product) the kernel build reads 41.2; the gradient reads 11.1 with whole
-padded spectra of Q and 14.1 with all columns in one block.  Each bound
+16.1 arrays in the kernel build, which keeps 6.0 (three real spectra), and
+at 10.1 in the gradient, whose padded convolution holds one column block
+per term.  Sampling both gradient components, as a (2, 2n, 2n) array, the
+kernel build reads 20.1, and with a full-size temporary per intermediate (a
+centred sample shifted by a copy, a new array per product) more; complex
+gradient spectra keep 10.1.  The gradient reads 11.1 with whole padded
+spectra of Q, or with a real kernel block cast to complex through numpy's
+8192-element buffer, and 14.1 with all columns in one block.  Each bound
 lies in between.
 """
 
@@ -31,10 +33,10 @@ def traced_peak(fn) -> float:
 
 
 def test_kernel_build_peak():
-    assert traced_peak(lambda: sample_kernels(SPEC, 0.1)) < 30.0
-    # two (2n, n+1) complex spectra and one real one, not three complex (12.1)
+    assert traced_peak(lambda: sample_kernels(SPEC, 0.1)) < 18.5
+    # three real (2n, n+1) spectra, not two complex ones and a real one (10.1)
     ks = sample_kernels(SPEC, 0.1)
-    assert sum(a.nbytes for a in (*ks.grad_w_fft, ks.grad_w_sq_fft)) / ARRAY < 10.5
+    assert sum(a.nbytes for a in (*ks.grad_w_fft, ks.grad_w_sq_fft)) / ARRAY < 6.5
 
 
 def test_gradient_after_energy_peak():

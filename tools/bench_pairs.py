@@ -16,7 +16,9 @@ each side's median and quartiles, the change's wins, the gain rule for each
 metric and its bound check.  An existing ``--out`` file keeps the workloads
 this run does not measure, and the pairs of a workload measured again at the
 same ``--seconds``, so the summary covers every pair run.  The benchmark's
-own files are only read.
+own files are only read.  A ``--claim`` whose workload is not a ``--workload``
+of the run, or whose metric is not an end-to-end one, is refused with exit
+code 2 before anything runs.
 """
 
 from __future__ import annotations
@@ -140,6 +142,13 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = {m["name"] for m in bench["end_to_end"]}
+    for claim in args.claim:
+        workload, _, metric = claim.partition(":")
+        if workload not in args.workload or metric not in metrics:
+            print(f"error: --claim {claim} names no --workload or no end-to-end metric "
+                  f"({', '.join(sorted(metrics))})", file=sys.stderr)
+            return 2
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     report.update(
         command=[*bench["command"], "--workload", "W", "--seed", "S",
