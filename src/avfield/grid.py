@@ -131,12 +131,13 @@ def padded_rfft(spec: GridSpec, f: np.ndarray) -> np.ndarray:
 def padded_convolution(spec: GridSpec, *terms: tuple, factor: complex = 1.0) -> np.ndarray:
     """Primary n x n block of ``irfft2(factor (a_1 k_1 - a_2 k_2 - ...), s=(2n, 2n))``.
 
-    Each term pairs a kernel's padded spectrum k (real for an odd kernel's S,
-    with factor 1j) with a real n x n field, zero-padded and transformed here,
-    or with a padded spectrum a (``padded_rfft``); the products after the
-    first are subtracted, in order.  At factor 1, bit for bit the unblocked
-    result: every column is the same 1-D transform of the same data.  No
-    argument is written to.
+    Each term pairs a kernel's padded spectrum k with a real n x n field,
+    zero-padded and transformed here, or with a padded spectrum a
+    (``padded_rfft``); the products after the first are subtracted, in
+    order.  A real k is taken as it is (an even kernel's spectrum); the odd
+    gradient kernels' real S become their spectra i S through factor=1j.
+    At factor 1, bit for bit the unblocked result: every column is the same
+    1-D transform of the same data.  No argument is written to.
     """
     n, m = spec.n, 2 * spec.n
     rows = [np.fft.rfft(a, n=m, axis=1) if a.shape == (n, n) else None for a, _ in terms]

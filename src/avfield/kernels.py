@@ -27,9 +27,10 @@ approaches the point-like one as R -> 0:
 The gradient kernels are kept as real spectra.  The padded-grid sample g of
 d w_R / dx is odd in x and even in y but on its column x = -2L (offset n), which
 no primary-box output reads, as there |i - j| <= n - 1.  That column is even in
-y and adds a real part only, so g without it has the spectrum i Sx, exactly,
-with Sx = Im ``padded_rfft``(g).  d w_R / dy is g^T: Sy[ky, kx] = Sx[kx, ky],
-and -Sx[kx, 2n - ky] for ky > n.
+y and adds a real part only, so g with it zeroed has the spectrum i Sx,
+exactly, with Sx = Im ``padded_rfft``(g).  d w_R / dy is g^T, whose spectrum
+is i Sy with Sy[ky, kx] = Sx[kx, ky] and -Sx[kx, 2n - ky] for ky > n; Sy is
+transformed from g^T all the same, so both carry the round-off of one transform.
 """
 
 from __future__ import annotations
@@ -150,19 +151,18 @@ def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
     """Sample d w_R / dx on the 2n x 2n padded grid and keep the real spectra.
 
     The sample g is taken in FFT order (origin at index 0), which is what
-    the transform reads; d w_R / dy is g^T, bit for bit.
+    the transform reads, with its unread x = -2L column zeroed; d w_R / dy
+    is g^T, bit for bit.
     """
-    n = spec.n
     a = np.fft.ifftshift(spec.padded_axis())
     g = SmearedCoulomb(R).grad_w_x(a[np.newaxis, :], a[:, np.newaxis])
-    sx = padded_rfft(spec, g).imag.copy(order="F")
-    sy = np.empty((n + 1, 2 * n))  # Sy^T, C-ordered (see the module docstring)
-    np.concatenate([sx[: n + 1], -sx[: n + 1, n - 1 : 0 : -1]], axis=1, out=sy)
+    g[:, spec.n] = 0.0
+    grad_w_fft = tuple(padded_rfft(spec, s).imag.copy(order="F") for s in (g, g.T))
     if R == 0.0:
-        return KernelSet((sx, sy.T), None)
+        return KernelSet(grad_w_fft, None)
     np.square(g, out=g)
     g += g.T
-    return KernelSet((sx, sy.T), padded_rfft(spec, g).real.copy(order="F"))
+    return KernelSet(grad_w_fft, padded_rfft(spec, g).real.copy(order="F"))
 
 
 def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:

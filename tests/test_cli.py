@@ -559,7 +559,7 @@ VERIFY_REFERENCE = {
         "density_lower_bound": {"worst_margin": 0.29311369858710523},
     }),
     "manybody-identities": ("4", {"states": 4}, {
-        "mixed_crosscheck": {"worst_rel": 7.103452875020305e-14},
+        "mixed_crosscheck": {"worst_rel": 5.682762300016326e-14},
         "gap_nonnegative": {"worst_scaled_gap": 0.09230184480382997},
     }),
 }

@@ -124,8 +124,9 @@ def test_convolution_of_gaussians(spec):
 @pytest.mark.parametrize("n", [16, 64, 256, 512])
 def test_padded_transforms_are_the_unpruned_numpy_ones(monkeypatch, n):
     # kx-major storage and column blocks change where the spectra lie in
-    # memory, not one bit of their values (a real kernel taken with factor 1j
-    # is checked to round-off), and neither routine writes to its arguments.  The n + 1 columns leave a ragged last block: one column
+    # memory, not one bit of their values (a real kernel taken with factor
+    # 1j is checked to round-off), and neither routine writes to its
+    # arguments.  The n + 1 columns leave a ragged last block: one column
     # from n = 128 up, and 2 or 3 of 5-column blocks at n = 16, 256 and 512.
     spec = GridSpec(n=n, half_width=4.0)
     rng = np.random.default_rng(n)

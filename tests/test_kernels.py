@@ -156,19 +156,20 @@ def test_gradient_spectra_are_real_and_sy_is_sx_mirrored(R):
     ks = sample_kernels(spec, R)
     sx, sy = ks.grad_w_fft
     scale = np.abs(sx).max()
-    # Sx is the imaginary part of the x sample's own transform; the mirrored
-    # Sy that of the y sample, to round-off
-    assert np.array_equal(sx, padded_rfft(spec, gx).imag)
-    assert np.abs(sy - padded_rfft(spec, gy).imag).max() <= 1e-13 * scale
-    if R > 0.0:
-        assert np.array_equal(ks.grad_w_sq_fft, padded_rfft(spec, gx**2 + gy**2).real)
     # without the offset-n line (x = -2L for gx, y = -2L for gy) the
-    # transform is imaginary to round-off; with it, it is not
-    for g, line in ((gx, np.s_[:, n]), (gy, np.s_[n, :])):
+    # transform is imaginary to round-off, and S is its imaginary part;
+    # with the line, the transform is not imaginary
+    for g, line, s in ((gx, np.s_[:, n], sx), (gy, np.s_[n, :], sy)):
         zeroed = g.copy()
         zeroed[line] = 0.0
+        assert np.array_equal(s, padded_rfft(spec, zeroed).imag)
         assert np.abs(padded_rfft(spec, zeroed).real).max() <= 1e-13 * scale
         assert np.abs(padded_rfft(spec, g).real).max() > 1e-3 * scale
+        if s is sx and R > 0.0:
+            assert np.array_equal(ks.grad_w_sq_fft, padded_rfft(spec, zeroed**2 + zeroed.T**2).real)
+    # Sx mirrored is Sy, to round-off: Sy[ky, kx] = Sx[kx, ky], -Sx[kx, 2n - ky] above n
+    mirrored = np.concatenate([sx[: n + 1], -sx[: n + 1, n - 1 : 0 : -1]], axis=1).T
+    assert np.abs(sy - mirrored).max() <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("R", [0.0, 0.05, 0.1, 0.4])

@@ -468,8 +468,9 @@ def test_coarse_levels_restrict_the_fine_kernels(trap, monkeypatch):
     def sampling(*args):
         raise AssertionError("a kernel was sampled")
 
-    # every sample_kernels call, under any name, samples grad w_R
-    monkeypatch.setattr("avfield.kernels.SmearedCoulomb.grad_w", sampling)
+    # every sample_kernels call, under any name, samples d w_R / dx, as
+    # does every grad_w call
+    monkeypatch.setattr("avfield.kernels.SmearedCoulomb.grad_w_x", sampling)
     res = minimize(params, grid, SolverConfig(max_iters=2))
     assert res.level_iterations == [2, 2, 2]
 
