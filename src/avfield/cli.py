@@ -171,6 +171,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_energy(args) -> int:
+    _check_output_dirs(args.out)
     u, header = load_state(args.state_file)
     u = u.normalized()
     beta = args.beta if args.beta is not None else header.beta
@@ -191,6 +192,7 @@ def cmd_energy(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_output_dirs(args.out)
     report = verify.SUITES[args.suite](args.samples, args.seed)
     report["config"] = _resolved_config(args)
     report["ok"] = all(c["ok"] for c in report["checks"])

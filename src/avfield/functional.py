@@ -16,11 +16,12 @@ Every evaluation (``energy``, ``energy_and_gradient``, the product-state
 terms and cross-check in ``manybody`` and the polar-form cross-check in
 ``verify``) reads the density, spectral derivatives, phase current and
 vector potential of a state from one ``StateFields``, which computes
-each of them at most once.  ``state_fields`` keeps it on the (immutable)
-state, keyed by the identity of its ``KernelSet``, so later calls on the
-state reuse it: after ``energy`` the gradient adds only its own
-transforms and the product-state energy none.  Other
-kernels replace it, and it is freed with the state.  ``energy`` and
+each on first use and keeps it only until its last reader has run.
+``state_fields`` keeps it on the (immutable) state, keyed by the
+identity of its ``KernelSet``, so later calls on the state reuse it:
+after ``energy`` the gradient adds only its own transforms and the
+product-state energy none (a second gradient forms grad u again).
+Other kernels replace it, and it is freed with the state.  ``energy`` and
 ``energy_and_gradient`` also accept a ``StateFields``; the solver's
 start (possibly a caller's warm start) and ``verify.evaluated`` (whose
 result keeps every state) pass one, so they pin no fields on states
@@ -84,15 +85,18 @@ def _ifft2(a: np.ndarray) -> np.ndarray:
 class StateFields:
     """One state's quantities shared by every term of the functional.
 
-    Each is computed on first use and then kept, so an evaluation pays
-    once for what it reads:
+    Each is computed on first use and kept until its last reader has run,
+    so an evaluation pays once for what it reads:
 
-    - ``spectrum``: fft2 of u, one n x n transform;
-    - ``grad``: (d_x u, d_y u) from the spectrum, two n x n inverses;
+    - ``spectrum``: fft2 of u, one n x n transform, kept for the beta = 0
+      gradient; ``grad`` frees it once ``kinetic`` has read it;
+    - ``grad``: (d_x u, d_y u) from the spectrum, two n x n inverses, read
+      by ``J`` and by the gradient G, which frees it;
     - ``J``: the phase current ``fields.current`` from ``grad``, two real arrays;
-    - ``rho_hat``: the padded spectrum of rho = |u|^2, one pruned padded
-      transform shared by A and any other convolution of rho;
-    - ``A``: ``fields.vector_potential`` of ``rho_hat``, two pruned padded inverses;
+    - ``A``: ``fields.vector_potential`` of the padded spectrum rho_hat of
+      rho = |u|^2, one pruned padded transform and two pruned padded
+      inverses; for R > 0 it keeps ``rho_hat_sq`` = |rho_hat|^2, the pair
+      term's input, in place of rho_hat;
     - ``kinetic``, ``A_dot_J``, ``rho_A2``: int |grad u|^2, int A.J, int rho |A|^2.
 
     The density ``fields.density`` is formed on construction, unless the
@@ -113,19 +117,22 @@ class StateFields:
     @cached_property
     def grad(self) -> tuple[np.ndarray, np.ndarray]:
         kx, ky = self.spec.wavenumbers()
-        return _ifft2(1j * kx * self.spectrum), _ifft2(1j * ky * self.spectrum)
+        s = self.spectrum
+        self.kinetic  # the spectrum's last reader, before it is freed
+        del self.spectrum
+        return _ifft2(1j * kx * s), _ifft2(1j * ky * s)
 
     @cached_property
     def J(self) -> tuple[np.ndarray, np.ndarray]:
         return current(self.values, self.grad)
 
     @cached_property
-    def rho_hat(self) -> np.ndarray:
-        return padded_rfft(self.spec, self.rho)
-
-    @cached_property
     def A(self) -> np.ndarray:
-        return vector_potential(self.spec, self.rho_hat, self.kernels)
+        rho_hat = padded_rfft(self.spec, self.rho)
+        A = vector_potential(self.spec, rho_hat, self.kernels)
+        if self.kernels.grad_w_sq_fft is not None:  # R > 0: the pair term's one input
+            self.rho_hat_sq = rho_hat.real**2 + rho_hat.imag**2
+        return A
 
     @cached_property
     def kinetic(self) -> float:
@@ -173,7 +180,7 @@ def _evaluate(
     energy; the gradient adds 3 padded and two one-axis derivatives, each
     an fft/ifft pair along one axis of an n x n array (the work of one
     n x n transform).  For beta = 0 only the spectrum of u, plus one
-    inverse for the gradient.
+    inverse for the gradient.  G frees grad u once it has read it.
     """
     spec, v, rho = fields.spec, fields.values, fields.rho
     V = trap_values(spec, params.trap)
@@ -223,6 +230,7 @@ def _evaluate(
     G += np.fft.ifft(t, axis=0, out=t)
     np.multiply(ax, ux, out=t)
     t += ay * uy
+    del ux, uy, fields.grad  # G's last read of grad u
     G -= np.multiply(1j * beta, t, out=t)
     G += np.multiply(beta**2 * (ax**2 + ay**2) + V + W, v, out=t)
     return bd, G
@@ -250,8 +258,9 @@ def energy_and_gradient(
     ``u`` may be a ``StateFields``, as in ``energy``.  On a fresh state it
     costs 3 n x n transforms, two one-axis derivative pairs and 6 padded
     transforms.  After ``energy`` on the same state or fields it adds the
-    two derivative pairs and 3 padded transforms (one n x n at beta = 0)
-    and returns what a fresh state would, bit for bit.
+    two derivative pairs and 3 padded transforms (one n x n at beta = 0,
+    two after a beta != 0 energy), a second gradient 3 n x n more, to form
+    grad u again, and each returns what a fresh state would, bit for bit.
     """
     return _evaluate(state_fields(u, params.R), params, with_gradient=True)
 

@@ -58,11 +58,11 @@ def _pair_term(fields: StateFields) -> float:
 
     P = h^4/(2n)^2 sum_k w(kx) Re g_sq(k) |rho_hat(k)|^2 over the half
     spectrum, where w is 1 for kx = 0 and kx = n and 2 for the columns
-    that also stand for their mirror images; no transform is made.
+    that also stand for their mirror images; no transform is made.  It
+    reads the |rho_hat|^2 that ``fields.A``, formed by the energy, keeps.
     """
     spec = fields.spec
-    rho_hat = fields.rho_hat
-    terms = fields.kernels.grad_w_sq_fft * (rho_hat.real**2 + rho_hat.imag**2)
+    terms = fields.kernels.grad_w_sq_fft * fields.rho_hat_sq
     total = 2.0 * terms.sum() - terms[:, 0].sum() - terms[:, -1].sum()
     return float(total) * spec.h**4 / (2 * spec.n) ** 2
 
@@ -72,7 +72,7 @@ def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBre
 
     It reads the fields that ``state_fields`` keeps on u: after
     ``energy`` on u it costs no transform (the pair term is a sum over
-    the kept padded density spectrum).
+    the kept squared modulus of the padded density spectrum).
     """
     fields = state_fields(u, params.R)
     bd = energy(fields, params)

@@ -344,17 +344,24 @@ def test_unreadable_or_unwritable_file_exits_config(tmp_path, capsys, argv):
         ["solve", "--beta", "0", "--grid", "32", "--history-out", "{missing}/h.csv"],
         ["sweep", "--axis", "beta", "--values", "0", "--grid", "32",
          "--out", "{missing}/sweep.csv"],
+        ["verify", "geometry", "--samples", "200000", "--out", "{missing}/r.json"],
+        ["energy", "{state}", "--N", "2", "--out", "{missing}/e.json"],
     ],
-    ids=["out", "state-out", "history-out", "sweep-out"],
+    ids=["out", "state-out", "history-out", "sweep-out", "verify-out", "energy-out"],
 )
 def test_missing_output_directory_refused_before_solving(tmp_path, capsys, monkeypatch, argv):
     def never(*args, **kwargs):
-        raise AssertionError("solved before checking the output paths")
+        raise AssertionError("worked before checking the output paths")
 
     monkeypatch.setattr(cli, "minimize", never)
     monkeypatch.setattr(cli, "sweep", never)
+    monkeypatch.setattr(cli, "product_state_energy", never)
+    for suite in cli.verify.SUITES:
+        monkeypatch.setitem(cli.verify.SUITES, suite, never)
+    state = tmp_path / "u.state"
+    save_state(state, gaussian_state(GridSpec(n=32, half_width=4.0)), 1.0, 0.5)
     missing = str(tmp_path / "missing")
-    assert run([a.format(missing=missing) for a in argv]) == EXIT_CONFIG
+    assert run([a.format(missing=missing, state=state) for a in argv]) == EXIT_CONFIG
     assert "its directory does not exist" in capsys.readouterr().err
 
 

@@ -246,6 +246,29 @@ def test_gradient_from_evaluated_fields_matches_fresh_state(spec, trap, monkeypa
         assert n2 <= 2 and pad <= 3
 
 
+def test_a_second_gradient_forms_grad_u_again(spec, trap, monkeypatch):
+    # the gradient frees grad u and the energy the spectrum, so a second
+    # gradient of one state pays the spectrum and grad u again
+    u = smooth_state(spec, np.random.default_rng(18))
+    params = FunctionalParams(beta=0.7, R=0.2, trap=trap)
+    G_ref = energy_and_gradient(u, params)[1]
+    counter = FFTCounter(monkeypatch, spec.n)
+    G = energy_and_gradient(u, params)[1]
+    assert counter.take() == (5, 3)
+    assert G.tobytes() == G_ref.tobytes()
+
+
+def test_uncoupled_gradient_after_a_coupled_energy(spec, trap, monkeypatch):
+    u = smooth_state(spec, np.random.default_rng(19))
+    params = FunctionalParams(beta=0.0, R=0.2, trap=trap)
+    bd_ref, G_ref = energy_and_gradient(WaveFunction(spec, u.values), params)
+    energy(u, FunctionalParams(beta=0.7, R=0.2, trap=trap))  # grad u freed the spectrum
+    counter = FFTCounter(monkeypatch, spec.n)
+    bd, G = energy_and_gradient(u, params)
+    assert counter.take() == (2, 0)
+    assert bd == bd_ref and G.tobytes() == G_ref.tobytes()
+
+
 def attached_fields(u):
     return [v for v in vars(u).values() if isinstance(v, StateFields)]
 

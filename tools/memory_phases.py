@@ -1,0 +1,107 @@
+"""Traced live memory of one eval-n512 operation, phase by phase.
+
+Run from anywhere; the checkout is the one this file sits in:
+
+    python3 tools/memory_phases.py --seed 1 [--toy]
+
+It makes the benchmark's eval-n512 workload from ``perfbench/workloads.py``
+(read, not changed) in a temporary directory, then runs its set-up, one
+operation and that operation's check under ``tracemalloc``.  The phases of
+the operation are its own calls (load, energy, gradient, product-state
+energy, save), seen through wrappers on the module functions it calls.  For
+each phase it prints the traced live MB when the phase ends, the traced
+peak MB during it, and the MB of arrays that the loaded state's
+``StateFields`` keeps (its own arrays, not the state's samples or the
+kernels).  The exit code is 1 if the check fails.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import tempfile
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# (module, function, phase), in the order the operation calls them
+PHASES = [
+    ("stateio", "load_state", "load"),
+    ("functional", "energy", "energy"),
+    ("functional", "energy_and_gradient", "gradient"),
+    ("manybody", "product_state_energy", "product"),
+    ("stateio", "save_state", "save"),
+]
+
+
+def kept_mb(u) -> float:
+    """MB of the arrays held by the StateFields kept on the state u."""
+    from avfield.functional import StateFields
+    from workloads import kernel_bytes
+
+    fields = [f for f in vars(u).values() if isinstance(f, StateFields)]
+    return sum(kernel_bytes(v) for f in fields for k, v in vars(f).items()
+               if k not in ("values", "kernels")) / 1e6
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--toy", action="store_true", help="the harness self-test's sizes")
+    args = p.parse_args(argv)
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    import workloads
+
+    rows = []
+    state = []  # the operation's loaded state, once loaded
+
+    def record(phase: str) -> None:
+        current, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        kept = kept_mb(state[0]) if state else 0.0
+        rows.append((phase, current / 1e6, peak / 1e6, kept))
+
+    def wrap(fn, phase):
+        def wrapper(*a, **kw):
+            out = fn(*a, **kw)
+            if phase == "load":
+                state.append(out[0])
+            record(phase)
+            return out
+
+        return wrapper
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tracemalloc.start()
+        try:
+            w = workloads.make("eval-n512", args.toy, args.seed, Path(tmp))
+            w.setup()
+            record("set-up")
+            originals = []
+            for name, f, phase in PHASES:
+                mod = getattr(workloads, name)  # the module the workload calls through
+                originals.append((mod, f, getattr(mod, f)))
+                setattr(mod, f, wrap(getattr(mod, f), phase))
+            try:
+                out = w.op(0, w.prepare(0))
+            finally:
+                for mod, f, fn in originals:
+                    setattr(mod, f, fn)
+            reason = w.check(out)
+            record("check")
+        finally:
+            tracemalloc.stop()
+
+    print(f"eval-n512{' (toy)' if args.toy else ''} seed {args.seed}, n = {w.n}: "
+          "traced MB at the end of each phase and its peak, and the state's kept fields")
+    print(f"{'phase':<10}{'current':>10}{'peak':>10}{'kept':>10}")
+    for phase, current, peak, kept in rows:
+        print(f"{phase:<10}{current:>10.2f}{peak:>10.2f}{kept:>10.2f}")
+    if reason:
+        print(f"check failed: {reason}")
+    return 1 if reason else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
