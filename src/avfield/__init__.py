@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .errors import (
     AvfieldError,
-    ConfigurationError,
     DomainError,
     FormatError,
     NumericalFailureError,
@@ -24,7 +23,6 @@ from .stateio import load_state, save_state
 
 __all__ = [
     "AvfieldError",
-    "ConfigurationError",
     "DomainError",
     "FormatError",
     "NumericalFailureError",

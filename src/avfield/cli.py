@@ -7,17 +7,13 @@ Every JSON report embeds the resolved configuration and the package
 version so a run can be reproduced from its artifacts alone.  ``solve``
 starts cold, from the Gaussian or the random start of ``--seed``, or
 warm from the state file ``--state-in``, never from both.  Exit codes: 0
-success, 1 configuration error (an argparse usage error too, such as
-``verify --samples`` below 1, a negative ``--seed``, a ``sweep --values``
-that is not a list of numbers or ``--seed`` with ``--state-in``; a NaN or
-out-of-range ``--tol-grad``, ``--max-iters``, ``--R``, ``--box``,
-``--trap-c`` or ``--trap-s``, a non-finite ``--beta``, a ``--trap-c`` other
-than 1 or a ``--trap-s`` or ``sweep --axis s`` value other than 2 without
-``--trap power``, which a sweep refuses before its first solve, and a file
-that cannot be read or written), 2 numerical failure (a line search that
-stalls away from the round-off floor too), 3 invariant violation found by
-verify, 4 a solve or a sweep row stopped unconverged, at ``--max-iters`` or
-at the floor.
+success; 1 for a value that its parameter type refuses (a ``DomainError``,
+which every bad sweep row raises before the first solve), a missing output
+directory (checked for every ``--out`` and ``--*-out`` before any command
+runs), a file that cannot be read or written, or a usage error; 2 numerical
+failure (a line search that stalls away from the round-off floor too); 3
+invariant violation found by verify; 4 a solve or a sweep row stopped
+unconverged, at ``--max-iters`` or at the floor.
 An unconverged solve or sweep row is also reported on stderr (and in a
 solve report's ``warnings``), after its report, state and CSV are
 written.  A sweep row that raised a numerical failure makes the sweep
@@ -35,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, verify
-from .errors import ConfigurationError, DomainError, FormatError, NumericalFailureError
+from .errors import DomainError, FormatError, NumericalFailureError
 from .functional import FunctionalParams, energy
 from .grid import GridSpec
 from .kernels import TrapPotential
@@ -70,11 +66,11 @@ def _emit(payload: dict, out: str | None) -> None:
         print(text)
 
 
-def _check_output_dirs(*paths: str | None) -> None:
-    """Refuse, before any work is done, an output path whose directory is missing."""
-    for path in filter(None, paths):
-        if not Path(path).parent.is_dir():
-            raise ConfigurationError(f"cannot write {path}: its directory does not exist")
+def _check_output_dirs(args) -> None:
+    """Refuse an ``out`` or ``*_out`` path whose directory is missing, before any command runs."""
+    for key, path in vars(args).items():
+        if (key == "out" or key.endswith("_out")) and path and not Path(path).parent.is_dir():
+            raise DomainError(f"cannot write {path}: its directory does not exist")
 
 
 def _grid_from_args(args) -> GridSpec:
@@ -83,7 +79,7 @@ def _grid_from_args(args) -> GridSpec:
 
 def _trap_from_args(args) -> TrapPotential:
     if args.trap == "harmonic" and (args.trap_c, args.trap_s) != (1.0, 2.0):
-        raise ConfigurationError("--trap-c and --trap-s need --trap power")
+        raise DomainError("--trap-c and --trap-s need --trap power")
     return TrapPotential(c=args.trap_c, s=args.trap_s)
 
 
@@ -107,7 +103,6 @@ def _resolved_config(args, extra: dict | None = None) -> dict:
 
 
 def cmd_solve(args) -> int:
-    _check_output_dirs(args.out, args.state_out, args.history_out)
     spec = _grid_from_args(args)
     params = _params_from_args(args)
     warm = load_state(args.state_in, expected=spec)[0] if args.state_in else None
@@ -139,7 +134,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    _check_output_dirs(args.out)
     spec = _grid_from_args(args)
     field = "trap_s" if args.axis == "s" else args.axis
     problems = [_params_from_args(args, **{field: value}) for value in args.values]
@@ -171,7 +165,6 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    _check_output_dirs(args.out)
     u, header = load_state(args.state_file)
     u = u.normalized()
     beta = args.beta if args.beta is not None else header.beta
@@ -192,7 +185,6 @@ def cmd_energy(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_output_dirs(args.out)
     report = verify.SUITES[args.suite](args.samples, args.seed)
     report["config"] = _resolved_config(args)
     report["ok"] = all(c["ok"] for c in report["checks"])
@@ -304,8 +296,9 @@ def main(argv: list[str] | None = None) -> int:
         # here; --help and --version exit 0
         return EXIT_CONFIG if exc.code else EXIT_OK
     try:
+        _check_output_dirs(args)
         return args.func(args)
-    except (ConfigurationError, DomainError, FormatError, OSError) as exc:
+    except (DomainError, FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalFailureError as exc:

@@ -1,16 +1,12 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules; each refused input raises ``DomainError``."""
 
 
 class AvfieldError(Exception):
     """Base class for library errors."""
 
 
-class ConfigurationError(AvfieldError):
-    """Invalid grid, kernel, or run configuration."""
-
-
 class DomainError(AvfieldError, ValueError):
-    """Input outside the mathematical domain of an operation."""
+    """Input, setting or output path outside what an operation accepts."""
 
 
 class NumericalFailureError(AvfieldError):

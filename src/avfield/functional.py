@@ -45,7 +45,7 @@ from .grid import (
     padded_convolution,
     padded_rfft,
 )
-from .kernels import KernelSet, TrapPotential, kernels_for, trap_values
+from .kernels import KernelSet, SmearedCoulomb, TrapPotential, kernels_for, trap_values
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,7 @@ class FunctionalParams:
     def __post_init__(self):
         if not np.isfinite(self.beta):
             raise DomainError(f"beta must be finite, got {self.beta}")
+        SmearedCoulomb(self.R)  # its check of R, before any kernel is sampled
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,8 @@ class StateFields:
     - ``J``: the phase current ``fields.current`` from ``grad``, two real arrays;
     - ``A``: ``fields.vector_potential`` of the padded spectrum rho_hat of
       rho = |u|^2, one pruned padded transform and two pruned padded
-      inverses; for R > 0 it keeps ``rho_hat_sq`` = |rho_hat|^2, the pair
-      term's input, in place of rho_hat;
+      inverses; with a pair kernel (R > 0, not on a coarse level) it keeps
+      ``rho_hat_sq`` = |rho_hat|^2, the pair term's input, in place of rho_hat;
     - ``kinetic``, ``A_dot_J``, ``rho_A2``: int |grad u|^2, int A.J, int rho |A|^2.
 
     The density ``fields.density`` is formed on construction, unless the
@@ -130,7 +131,7 @@ class StateFields:
     def A(self) -> np.ndarray:
         rho_hat = padded_rfft(self.spec, self.rho)
         A = vector_potential(self.spec, rho_hat, self.kernels)
-        if self.kernels.grad_w_sq_fft is not None:  # R > 0: the pair term's one input
+        if self.kernels.grad_w_sq_fft is not None:  # the pair term's one input
             self.rho_hat_sq = rho_hat.real**2 + rho_hat.imag**2
         return A
 

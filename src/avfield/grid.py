@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 
 # bytes of one column block of padded_convolution (columns of 2n complex
 # samples): L2-sized, so the transposes between row and column passes stay
@@ -50,9 +50,9 @@ class GridSpec:
 
     def __post_init__(self):
         if self.n < 16 or not _is_power_of_two(self.n):
-            raise ConfigurationError(f"grid size must be a power of two >= 16, got {self.n}")
+            raise DomainError(f"grid size must be a power of two >= 16, got {self.n}")
         if not 0 < self.half_width < np.inf:
-            raise ConfigurationError(f"half_width must be finite and > 0, got {self.half_width}")
+            raise DomainError(f"half_width must be finite and > 0, got {self.half_width}")
 
     @property
     def h(self) -> float:
@@ -177,7 +177,7 @@ def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarra
     """
     n = spec.n
     if kernel_hat.shape != (2 * n, n + 1):
-        raise ConfigurationError(
+        raise DomainError(
             f"kernel spectrum shape {kernel_hat.shape} does not match padded grid "
             f"({2 * n}, {n + 1})"
         )
@@ -199,7 +199,7 @@ class WaveFunction:
 
     def __post_init__(self):
         if self.values.shape != (self.grid.n, self.grid.n):
-            raise ConfigurationError(
+            raise DomainError(
                 f"field shape {self.values.shape} does not match grid n={self.grid.n}"
             )
         values = np.asarray(self.values, dtype=complex).view()
@@ -219,7 +219,7 @@ class WaveFunction:
 
     def normalized(self) -> "WaveFunction":
         if self.mass == 0.0:
-            raise ConfigurationError("cannot normalize the zero field")
+            raise DomainError("cannot normalize the zero field")
         return WaveFunction(self.grid, self.values / np.sqrt(self.mass))
 
     def boundary_mass(self) -> float:

@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .grid import GridSpec, padded_rfft
 
 
@@ -138,9 +138,10 @@ class KernelSet:
     """Real padded spectra (``padded_rfft`` layout, kx-major) of grad w_R and |grad w_R|^2.
 
     ``grad_w_fft`` is (Sx, Sy), the spectra of the two components being i Sx
-    and i Sy (``sample_kernels``).  ``grad_w_sq_fft`` is None for R = 0:
-    |grad w_0|^2 is not locally integrable and the singular two-body term
-    is only offered for R > 0.  The samples themselves are not kept.
+    and i Sy (``sample_kernels``).  ``grad_w_sq_fft`` is None for R = 0,
+    where |grad w_0|^2 is not locally integrable and the singular two-body
+    term is only offered for R > 0, and on the coarse grids of ``restrict``,
+    where only the solver reads the kernels.  The samples are not kept.
     """
 
     grad_w_fft: tuple[np.ndarray, np.ndarray]
@@ -166,8 +167,9 @@ def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
 
 
 def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
-    """The kernels of ``spec`` restricted to the coarser grid ``coarse`` of the same box.
+    """The gradient kernels of ``spec`` restricted to the coarser grid ``coarse`` of its box.
 
+    The pair kernel is not restricted (None): no coarse level reads it.
     The padded grids of both have the period 4L, so the padded DFT index
     m is the same wavenumber on both.  Each half spectrum keeps its
     |m| < n_c rows and columns, scaled by (h / h_c)^2 for the h^2 of the
@@ -178,7 +180,7 @@ def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
     included, which point sampling on the coarse grid cannot resolve.
     """
     if coarse.half_width != spec.half_width or coarse.n >= spec.n:
-        raise ConfigurationError(f"{coarse} is not a coarsening of {spec}")
+        raise DomainError(f"{coarse} is not a coarsening of {spec}")
     nc = coarse.n
     scale = (nc / spec.n) ** 2  # (h / h_c)^2, exact for powers of two
 
@@ -189,11 +191,7 @@ def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
         out[:, nc] = 0.0
         return out
 
-    sq = kernels.grad_w_sq_fft
-    return KernelSet(
-        grad_w_fft=(band(kernels.grad_w_fft[0]), band(kernels.grad_w_fft[1])),
-        grad_w_sq_fft=None if sq is None else band(sq),
-    )
+    return KernelSet(tuple(band(s) for s in kernels.grad_w_fft), None)
 
 
 @lru_cache(maxsize=16)

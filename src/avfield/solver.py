@@ -87,7 +87,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalFailureError
+from .errors import DomainError, NumericalFailureError
 from .grid import GridSpec, WaveFunction, gaussian_state, inner, l2_norm
 from .functional import (
     EnergyBreakdown,
@@ -122,11 +122,11 @@ class SolverConfig:
 
     def __post_init__(self):
         if not self.tol_grad > 0:
-            raise ConfigurationError(f"tol_grad must be positive, got {self.tol_grad}")
+            raise DomainError(f"tol_grad must be positive, got {self.tol_grad}")
         if self.max_iters < 0:
-            raise ConfigurationError(f"max_iters must be >= 0, got {self.max_iters}")
+            raise DomainError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.seed is not None and self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+            raise DomainError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -221,21 +221,23 @@ def _cg_direction(
     G: np.ndarray,
     g: np.ndarray,
     d: np.ndarray,
+    gd: float,
     prev: tuple[np.ndarray, np.ndarray, float] | None,
 ) -> tuple[np.ndarray, float]:
     """Polak-Ribiere+ step direction p (the step is u - tau p) and its slope.
 
     ``g`` is the projected gradient, ``d`` the projected preconditioned
-    gradient and ``prev`` holds g_prev, p_prev and <g_prev, d_prev> from
-    the last iteration (None on the first).  p restarts at d when
-    successive gradients are far from conjugate (Powell's test, see the
-    module docstring) or the combination is not a descent direction, and
-    falls back to g when d is not one either (round-off at a vanishing
-    gradient), so the slope -2 Re<p, G> is negative.
+    gradient, ``gd`` is Re<g, d> and ``prev`` holds g_prev, p_prev and
+    <g_prev, d_prev> from the last iteration (None on the first).  p
+    restarts at d when successive gradients are far from conjugate
+    (Powell's test, see the module docstring) or the combination is not a
+    descent direction, and falls back to g when d is not one either
+    (round-off at a vanishing gradient), so the slope -2 Re<p, G> is
+    negative.
     """
     if prev is not None:
         g_prev, p_prev, gd_prev = prev
-        gd, gprev_d = inner(spec, g, d).real, inner(spec, g_prev, d).real
+        gprev_d = inner(spec, g_prev, d).real
         b = (gd - gprev_d) / gd_prev
         if b > 0.0 and abs(gprev_d) < POWELL_RESTART * gd:
             p = sphere_project(spec, p_prev, u)
@@ -377,7 +379,7 @@ def _minimize_level(
         sigma = max(1.0, abs(bd.total))
         d = sphere_project(spec, _precondition(pg, spec, params.trap, sigma), u)
         gd = inner(spec, pg, d).real
-        p, slope = _cg_direction(spec, u, G, pg, d, prev)
+        p, slope = _cg_direction(spec, u, G, pg, d, gd, prev)
         prev = None  # release g_prev and p_prev before the line search
         del d
 
@@ -474,7 +476,7 @@ def sweep(
     sweep continues and the next row starts cold.
     """
     if not problems:
-        raise ConfigurationError("sweep needs a non-empty problem list")
+        raise DomainError("sweep needs a non-empty problem list")
     rows: list[SolveResult | NumericalFailureError] = []
     warm: WaveFunction | None = None
     for p in problems:

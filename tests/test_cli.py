@@ -18,7 +18,7 @@ from avfield.cli import (
     main,
 )
 from avfield import solver, stateio
-from avfield.errors import FormatError, NumericalFailureError
+from avfield.errors import AvfieldError, FormatError, NumericalFailureError
 from avfield.functional import EnergyBreakdown, FunctionalParams
 from avfield.grid import GridSpec, WaveFunction, gaussian_state
 from avfield.kernels import TrapPotential
@@ -295,16 +295,27 @@ def test_solve_refuses_bad_numbers(flags, message, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_sweep_refuses_a_non_finite_beta_before_solving(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize(
+    "axis, values, message",
+    [
+        ("beta", "1,nan", "beta must be finite, got nan"),
+        ("R", "0.1,-1", "smearing radius must be finite and >= 0, got -1.0"),
+        ("R", "0.1,nan", "smearing radius must be finite and >= 0, got nan"),
+    ],
+    ids=["beta-nan", "R-negative", "R-nan"],
+)
+def test_sweep_refuses_a_non_finite_beta_before_solving(
+    axis, values, message, tmp_path, capsys, monkeypatch
+):
     def never(*args, **kwargs):
         raise AssertionError("solved before checking every row")
 
     monkeypatch.setattr(cli, "minimize", never)
     monkeypatch.setattr(solver, "minimize", never)
     out = tmp_path / "sweep.csv"
-    argv = ["sweep", "--axis", "beta", "--values", "1,nan", "--grid", "32", "--out", str(out)]
+    argv = ["sweep", "--axis", axis, "--values", values, "--grid", "32", "--out", str(out)]
     assert run(argv) == EXIT_CONFIG
-    assert "error: beta must be finite, got nan" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -551,6 +562,20 @@ def test_exit_code_constants():
     assert (EXIT_OK, EXIT_CONFIG, EXIT_NUMERICAL, EXIT_INVARIANT, EXIT_UNCONVERGED) == (
         0, 1, 2, 3, 4
     )
+
+
+@pytest.mark.parametrize("error", AvfieldError.__subclasses__(), ids=lambda e: e.__name__)
+def test_every_library_error_has_an_exit_code(error, monkeypatch, capsys):
+    # a command that raises any of the package's errors exits 1 or 2 with
+    # one line on stderr, not with a traceback
+    def raising(*args, **kwargs):
+        raise error("planted")
+
+    monkeypatch.setattr(cli, "minimize", raising)
+    code = run(["solve", "--beta", "0", "--grid", "32"])
+    assert (code, capsys.readouterr().err) in {
+        (EXIT_CONFIG, "error: planted\n"), (EXIT_NUMERICAL, "numerical failure: planted\n")
+    }
 
 
 # suite -> (--samples, report entries besides the checks, {check: measured values})

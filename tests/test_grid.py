@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from avfield.errors import ConfigurationError, DomainError
+from avfield.errors import DomainError
 from avfield import grid
 from avfield.grid import (
     GridSpec,
@@ -26,14 +26,14 @@ def spec():
 
 
 def test_grid_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         GridSpec(n=100, half_width=8.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         GridSpec(n=8, half_width=8.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         GridSpec(n=64, half_width=-1.0)
     for half_width in (np.nan, np.inf):
-        with pytest.raises(ConfigurationError, match="finite and > 0"):
+        with pytest.raises(DomainError, match="finite and > 0"):
             GridSpec(n=64, half_width=half_width)
 
 
@@ -117,7 +117,7 @@ def test_convolution_of_gaussians(spec):
     got = convolve(spec, f, padded_rfft(spec, np.fft.ifftshift(kern)))
     want = np.pi * 2.0 / 3.0 * np.exp(-r2 / 3.0)
     assert np.allclose(got, want, atol=1e-10)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         convolve(spec, f, kern)  # the samples, not their padded spectrum
 
 
@@ -169,9 +169,9 @@ def test_padded_transforms_are_the_unpruned_numpy_ones(monkeypatch, n):
 def test_wavefunction_normalization(spec):
     u = gaussian_state(spec, width=1.3)
     assert u.mass == pytest.approx(1.0, abs=1e-14)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         WaveFunction(spec, np.zeros((64, 64), dtype=complex)).normalized()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         WaveFunction(spec, np.zeros((32, 32), dtype=complex))
 
 

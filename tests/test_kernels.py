@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from avfield.errors import ConfigurationError, DomainError
+from avfield.errors import DomainError
 from avfield.functional import FunctionalParams, StateFields, energy, energy_and_gradient
 from avfield.grid import GridSpec, WaveFunction, inner, padded_rfft
 from avfield.kernels import (
@@ -206,11 +206,13 @@ def test_gradient_contract_with_restricted_kernels():
 
 def test_kernel_spectra_are_kx_major():
     # the layout of padded_rfft's spectra, so products keep it and the
-    # padded inverse reads contiguous rows; all three are real arrays
+    # padded inverse reads contiguous rows; all are real arrays, and a
+    # coarse level, which reads no pair kernel, gets none
     fine = kernels_for(FINE, 0.1)
-    for ks in (fine, restrict(fine, FINE, COARSE)):
-        for fh in (*ks.grad_w_fft, ks.grad_w_sq_fft):
-            assert fh.flags.f_contiguous and fh.dtype == np.float64
+    coarse = restrict(fine, FINE, COARSE)
+    assert coarse.grad_w_sq_fft is None
+    for fh in (*fine.grad_w_fft, fine.grad_w_sq_fft, *coarse.grad_w_fft):
+        assert fh.flags.f_contiguous and fh.dtype == np.float64
 
 
 @pytest.mark.parametrize("R", [0.0, 0.1])
@@ -219,14 +221,10 @@ def test_restriction_composes_exactly(R):
     fine = kernels_for(FINE, R)
     direct = restrict(fine, FINE, COARSE)
     chained = restrict(restrict(fine, FINE, mid), mid, COARSE)
-    pairs = list(zip(direct.grad_w_fft, chained.grad_w_fft))
-    if R > 0.0:
-        pairs.append((direct.grad_w_sq_fft, chained.grad_w_sq_fft))
-    else:
-        assert direct.grad_w_sq_fft is None and chained.grad_w_sq_fft is None
-    for a, b in pairs:
+    assert direct.grad_w_sq_fft is None and chained.grad_w_sq_fft is None
+    for a, b in zip(direct.grad_w_fft, chained.grad_w_fft):
         assert a.shape == (128, 65)
         assert np.array_equal(a, b)
         assert not a[64].any() and not a[:, 64].any()  # the coarse Nyquist
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         restrict(fine, FINE, GridSpec(n=64, half_width=4.0))

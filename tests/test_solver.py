@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from avfield.cli import EXIT_OK, EXIT_UNCONVERGED, main
-from avfield.errors import ConfigurationError, NumericalFailureError
+from avfield.errors import DomainError, NumericalFailureError
 from avfield.functional import (
     EnergyBreakdown,
     FunctionalParams,
@@ -33,7 +33,7 @@ def trap():
 
 def test_config_validation():
     for bad in ({"tol_grad": 0.0}, {"tol_grad": float("nan")}, {"max_iters": -3}, {"seed": -1}):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(DomainError):
             SolverConfig(**bad)
 
 
@@ -168,7 +168,7 @@ def test_sweep_keeps_a_lower_cold_resolve(spec, trap, monkeypatch):
 
 
 def test_sweep_axis_validation(spec, trap):
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(DomainError):
         sweep([], spec)
 
 
@@ -278,20 +278,20 @@ def test_cg_direction_restarts_from_preconditioned_gradient(spec, trap):
 
     # p_prev = -d with b = 1000 makes d + b p_prev point uphill
     planted = (np.zeros_like(g), -d, 1e-3 * gd)
-    p, slope = solver._cg_direction(spec, u, G, g, d, planted)
+    p, slope = solver._cg_direction(spec, u, G, g, d, gd, planted)
     assert p is d
     assert slope == pytest.approx(-2.0 * inner(spec, d, G).real)
     assert slope < 0.0
 
     # a benign previous direction is kept with the Polak-Ribiere+ weight
     p_prev = sphere_project(spec, np.roll(d, 1, axis=0), u)
-    p, slope = solver._cg_direction(spec, u, G, g, d, (np.zeros_like(g), p_prev, gd))
+    p, slope = solver._cg_direction(spec, u, G, g, d, gd, (np.zeros_like(g), p_prev, gd))
     assert np.allclose(p, d + sphere_project(spec, p_prev, u))
     assert slope == pytest.approx(-2.0 * inner(spec, p, G).real)
     assert slope < 0.0
 
     # d = -g points uphill, so the direction falls back to g
-    p, slope = solver._cg_direction(spec, u, G, g, -g, None)
+    p, slope = solver._cg_direction(spec, u, G, g, -g, -inner(spec, g, g).real, None)
     assert p is g
     assert slope == -2.0 * inner(spec, g, G).real
     assert slope < 0.0
@@ -304,7 +304,7 @@ def test_powell_test_restarts_when_gradients_overlap(spec, trap, overlap, restar
     u, G, g, d = cg_inputs(spec, trap)
     gd = inner(spec, g, d).real
     p_prev = sphere_project(spec, np.roll(d, 1, axis=0), u)
-    p, slope = solver._cg_direction(spec, u, G, g, d, (overlap * g, p_prev, gd))
+    p, slope = solver._cg_direction(spec, u, G, g, d, gd, (overlap * g, p_prev, gd))
     if restarts:
         assert p is d
     else:
