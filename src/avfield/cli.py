@@ -123,6 +123,7 @@ def cmd_solve(args) -> int:
             "breakdown": {**dataclasses.asdict(res.breakdown), "total": res.breakdown.total},
             "iterations": res.iterations,
             "level_iterations": res.level_iterations,
+            "level_grids": res.level_grids,
             "converged": res.converged,
             "grad_norm": res.grad_norm,
             "boundary_mass": res.boundary_mass,

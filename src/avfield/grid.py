@@ -25,7 +25,7 @@ and keeps only the n primary rows for the final row pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,20 +69,24 @@ class GridSpec:
         return x, y
 
     def wavenumbers(self) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral wavenumbers (kx, ky) for differentiation.
+        """Spectral wavenumbers (kx, ky) for differentiation, memoized per grid.
 
         The Nyquist mode is zeroed so that derivatives of real fields
-        stay real.
+        stay real.  Read-only, since every caller on the grid shares them.
         """
-        k = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
-        k[self.n // 2] = 0.0
-        kx = k[np.newaxis, :]
-        ky = k[:, np.newaxis]
-        return kx, ky
+        return _wavenumbers(self)
 
     def padded_axis(self) -> np.ndarray:
         """Offsets m*h, m = -n..n-1, for kernel sampling on the padded grid."""
         return self.h * (np.arange(2 * self.n) - self.n)
+
+
+@lru_cache(maxsize=8)
+def _wavenumbers(spec: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    k = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.h)
+    k[spec.n // 2] = 0.0
+    k.flags.writeable = False  # and so are its views kx and ky
+    return k[np.newaxis, :], k[:, np.newaxis]
 
 
 def integrate(spec: GridSpec, f: np.ndarray):

@@ -73,11 +73,16 @@ density band-limited to the coarse grid, such as that of a prolonged
 state, the fine convolution reads only that band: the coarse energy of a
 smooth state is the fine energy of its prolongation to 1e-13 relative,
 so the prolonged coarse minimizer mostly meets the fine tolerance as it
-is.  The harmonic reference solve at n = 256 spends 9, 0 and 0
-iterations on n = 64, 128 and 256, as many as on n = 256 alone, so the
-whole solve runs on the coarsest grid; with kernels point-sampled on
-each coarse grid, which cannot resolve R < h, it spent 18, 11 and 6
-(with the product preconditioner).
+is.  So once the coarsest level has converged, its minimizer is prolonged
+straight onto the requested grid and tested there by one evaluation; if it
+meets the tolerance there, that is the solve's last level, with 0
+iterations, and the grids between are skipped, otherwise the evaluation is
+dropped and the ladder is climbed.  The harmonic reference solve at n = 256
+spends 9 and 0 iterations on n = 64 and 256, as many as on n = 256 alone,
+so the whole solve runs on the coarsest grid; climbing every grid it spent
+9, 0 and 0 on n = 64, 128 and 256, and with kernels point-sampled on each
+coarse grid, which cannot resolve R < h, 18, 11 and 6 (with the product
+preconditioner).
 """
 
 from __future__ import annotations
@@ -140,8 +145,9 @@ class SolveResult:
     energy_history: list[float] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     # iterations of each grid level of the solve, coarsest first, ending
-    # with the returned grid's ``iterations``
+    # with the returned grid's ``iterations``, and the n of each level's grid
     level_iterations: list[int] = field(default_factory=list)
+    level_grids: list[int] = field(default_factory=list)
 
 
 def initial_state(spec: GridSpec, cfg: SolverConfig) -> WaveFunction:
@@ -285,13 +291,15 @@ def minimize(
     COARSEST_N points and climbs to n (nested iteration, see the module
     docstring).  Each coarse level restricts the ``kernels`` of ``spec``
     to its own grid (``kernels.restrict``) and drops them with the level,
-    so no coarse grid is sampled or cached.  A coarse level that fails is
-    not fatal: the next grid then starts from its own initial state, with
-    one warning, and the iterations of the levels below it are dropped
-    from ``level_iterations``.  Warnings of the coarse levels are not
-    copied into the result; the returned grid's own are.
+    so no coarse grid is sampled or cached.  A converged coarsest level is
+    prolonged onto n at once and, if that start meets ``tol_grad``, returned
+    as n's level, with the grids between skipped.  A coarse level that fails
+    is not fatal: the next grid then starts from its own initial state, with
+    one warning, and the levels below it are dropped from
+    ``level_iterations`` and ``level_grids``.  Warnings of the coarse levels
+    are not copied into the result; the returned grid's own are.
     """
-    levels: list[int] = []
+    levels: list[tuple[int, int]] = []  # (n, iterations) of each level
     warnings: list[str] = []
     kernels = kernels_for(spec, params.R)
     if warm_start is None:
@@ -314,11 +322,21 @@ def minimize(
             )
             u = initial_state(fine, cfg)
             continue
-        levels.append(res.iterations)
+        levels.append((coarse.n, res.iterations))
+        if res.converged and coarse is grids[0] and fine is not spec:
+            # n may need no middle grid: test the prolonged minimizer there
+            done = _minimize_level(params, spec, cfg, _prolong(res.u, spec), kernels,
+                                   only_if_converged=True)
+            if done is not None:
+                res = done
+                break
         u = _prolong(res.u, fine)
         del res  # the coarse minimizer is not kept through the finer levels
-    res = _minimize_level(params, spec, cfg, u, kernels)
-    res.level_iterations = levels + [res.iterations]
+    else:
+        res = _minimize_level(params, spec, cfg, u, kernels)
+    levels.append((spec.n, res.iterations))
+    res.level_grids = [n for n, _ in levels]
+    res.level_iterations = [its for _, its in levels]
     res.warnings[:0] = warnings
     return res
 
@@ -340,7 +358,8 @@ def _minimize_level(
     cfg: SolverConfig,
     u: WaveFunction,
     kernels: KernelSet,
-) -> SolveResult:
+    only_if_converged: bool = False,
+) -> SolveResult | None:
     """Minimize on one grid from the normalized state ``u``.
 
     E, G, the projected gradient, its norm and the last relative drop are
@@ -349,7 +368,9 @@ def _minimize_level(
     unconverged at the round-off floor (three round-off steps in a row, or
     no Armijo step near stationarity) or at ``max_iters`` (the last iterate
     untested), or raises ``NumericalFailureError`` (a non-finite energy, or
-    no Armijo step away from the floor).
+    no Armijo step away from the floor).  With ``only_if_converged`` a start
+    whose gradient is not below ``tol_grad`` returns None, and nothing of
+    its evaluation outlives the call.
     """
     warnings: list[str] = []
     _warn_boundary(u, "initial", warnings)
@@ -360,6 +381,8 @@ def _minimize_level(
     history = [bd.total]
     pg = sphere_project(spec, G, u)
     grad_norm = l2_norm(spec, pg)
+    if only_if_converged and not grad_norm < cfg.tol_grad:
+        return None
     rel_drop = np.inf
     tau = STEP0
     converged = False

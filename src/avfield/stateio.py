@@ -72,7 +72,8 @@ def load_state(
 ) -> tuple[WaveFunction, StateHeader]:
     """Load a snapshot; a mismatched expected grid is rejected, not resampled.
 
-    A payload with a NaN or infinite sample raises ``FormatError``.
+    A header whose grid ``GridSpec`` refuses, or a payload with a NaN or
+    infinite sample, raises ``FormatError``.
     """
     with open(path, "rb") as fh:
         header = _parse_header(path, fh.read(_HEADER.size))
@@ -81,7 +82,10 @@ def load_state(
     if len(raw) != count * 16:
         raise FormatError(f"{path}: payload holds {len(raw)} bytes, expected {count * 16}")
     vals = np.frombuffer(raw, dtype="<c16")  # WaveFunction makes it native complex
-    spec = GridSpec(n=header.n, half_width=header.half_width)
+    try:
+        spec = GridSpec(n=header.n, half_width=header.half_width)
+    except DomainError as exc:
+        raise FormatError(f"{path}: header grid refused: {exc}") from exc
     if expected is not None and (
         expected.n != spec.n or expected.half_width != spec.half_width
     ):

@@ -133,6 +133,23 @@ def test_non_finite_payload_rejected(tmp_path, bad):
         load_state(path)
 
 
+@pytest.mark.parametrize(
+    "n, L, refusal",
+    [(8, 4.0, "power of two >= 16, got 8"), (16, 0.0, "got 0.0"), (16, np.nan, "got nan")],
+    ids=["n8", "L0", "Lnan"],
+)
+def test_header_with_a_refused_grid_is_malformed(tmp_path, capsys, n, L, refusal):
+    # a payload of the n * n samples the header names, so only the grid is wrong
+    header = struct.pack("<4sIQddd", b"AFGS", 1, n, L, 1.0, 0.1)
+    path = tmp_path / "u.state"
+    path.write_bytes(header + np.full(n * n, 0.25, dtype="<c16").tobytes())
+    with pytest.raises(FormatError, match=re.escape(f"{path}: header grid refused:")) as exc:
+        load_state(path)
+    assert refusal in str(exc.value)
+    assert run(["energy", str(path), "--N", "2"]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
+
+
 def test_solve_command_oscillator(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = run(

@@ -59,6 +59,21 @@ def test_inner_product_conjugate_linear(spec):
     assert inner(spec, f, f).real == pytest.approx(l2_norm(spec, f) ** 2)
 
 
+def test_wavenumbers_are_shared_and_read_only(spec, monkeypatch):
+    kx, ky = spec.wavenumbers()
+    k = 2.0 * np.pi * np.fft.fftfreq(spec.n, d=spec.h)
+    k[spec.n // 2] = 0.0  # the zeroed Nyquist mode
+    assert kx.shape == (1, spec.n) and ky.shape == (spec.n, 1)
+    assert kx.tobytes() == ky.tobytes() == k.tobytes()
+    for a in (kx, ky):
+        with pytest.raises(ValueError):
+            a[0, 0] = 1.0
+    # an equal grid reads the same arrays, with no fftfreq of its own
+    monkeypatch.setattr(np.fft, "fftfreq", None)
+    again = GridSpec(n=spec.n, half_width=spec.half_width).wavenumbers()
+    assert again[0] is kx and again[1] is ky
+
+
 def test_spectral_gradient_on_modes(spec):
     x, y = spec.meshgrid()
     k = 2.0 * np.pi / spec.half_width  # resolved periodic mode

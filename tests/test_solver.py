@@ -436,25 +436,34 @@ def test_coarse_started_solve_matches_single_level_solve(beta, trap):
 
 def test_reference_solve_spends_few_fine_iterations(trap, monkeypatch):
     # a single-level solve takes 17 iterations at n = 256; coarse levels
-    # that sampled their own kernels left 11 and 6 to n = 128 and 256
+    # that sampled their own kernels left 11 and 6 to n = 128 and 256, and
+    # climbing every grid took 9, 0 and 0
     grid = GridSpec(n=256, half_width=8.0)
-    real_energy = solver.energy
-    calls = []
+    real_energy, real_fields = solver.energy, solver.StateFields
+    calls, evaluated = [], []
 
     def counting_energy(*args, **kwargs):
         calls.append(1)
         return real_energy(*args, **kwargs)
 
+    def recording_fields(u, *args):
+        evaluated.append(u.grid.n)
+        return real_fields(u, *args)
+
     monkeypatch.setattr(solver, "energy", counting_energy)
+    monkeypatch.setattr(solver, "StateFields", recording_fields)
     res = minimize(FunctionalParams(beta=1.0, R=0.1, trap=trap), grid,
                    SolverConfig(tol_grad=1e-5))
     assert res.converged
-    assert len(res.level_iterations) == 3
-    assert res.iterations == res.level_iterations[-1] <= 8
+    # the coarse minimizer meets the tolerance on n = 256 as it is
+    assert res.level_grids == [64, 256]
+    assert res.iterations == res.level_iterations[-1] == 0
     # 18 on n = 64 with the product preconditioner, 14 with the separable
     # inverse, 9 with Powell's restart test
     assert res.level_iterations[0] <= 10
-    assert max(res.level_iterations[1:]) <= 1
+    # n = 128 is never evaluated, and n = 256 once, at its start
+    assert 128 not in evaluated
+    assert evaluated.count(256) == 1
     # every first trial step is accepted: one line-search energy per iteration
     assert len(calls) == sum(res.level_iterations)
     assert res.breakdown.total == pytest.approx(2.2664606841536585, rel=1e-10)
@@ -482,7 +491,49 @@ def test_strong_coupling_cold_solve_converges(trap):
     res = minimize(FunctionalParams(beta=8.0, R=0.1, trap=trap), grid,
                    SolverConfig(tol_grad=1e-6))
     assert res.converged
+    # the n = 64 minimizer does not meet the tolerance on n = 256, so the
+    # solve climbs every grid
+    assert res.level_grids == [64, 128, 256]
+    assert len(res.level_iterations) == 3
     assert res.breakdown.total == pytest.approx(5.779553206711, abs=1e-9)
+
+
+def test_a_met_check_returns_the_target_levels_start():
+    # the n = 64 minimizer of the quartic trap meets tol_grad on n = 256
+    grid = GridSpec(n=256, half_width=8.0)
+    params = FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=4.0))
+    cfg = SolverConfig(tol_grad=1e-6)
+    res = minimize(params, grid, cfg)
+    # at beta = 0 no kernel is read, so the coarsest level is this solve
+    coarse = minimize(params, GridSpec(n=64, half_width=8.0), cfg)
+    level = solver._minimize_level(params, grid, cfg, solver._prolong(coarse.u, grid),
+                                   kernels_for(grid, params.R))
+    assert res.level_grids == [64, 256]
+    assert res.level_iterations == [coarse.iterations, 0] and level.iterations == 0
+    assert res.u.values.tobytes() == level.u.values.tobytes()
+    assert res.energy_history == level.energy_history == [res.breakdown.total]
+    assert res.converged and level.converged
+    assert (res.grad_norm, res.boundary_mass, res.warnings) == (
+        level.grad_norm, level.boundary_mass, level.warnings)
+
+
+def test_a_failed_check_climbs_as_without_it(monkeypatch):
+    # the n = 64 minimizer of the |x|^6 trap misses tol_grad on n = 256
+    grid = GridSpec(n=256, half_width=8.0)
+    params = FunctionalParams(beta=0.0, R=0.0, trap=TrapPotential(s=6.0))
+    cfg = SolverConfig(tol_grad=1e-5)
+    res = minimize(params, grid, cfg)
+    assert res.converged and res.level_grids == [64, 128, 256]
+    real = solver._minimize_level
+
+    def unchecked(*args, only_if_converged=False):
+        return None if only_if_converged else real(*args)
+
+    monkeypatch.setattr(solver, "_minimize_level", unchecked)
+    climbed = minimize(params, grid, cfg)
+    assert climbed.u.values.tobytes() == res.u.values.tobytes()
+    assert climbed.level_iterations == res.level_iterations
+    assert climbed.energy_history == res.energy_history
 
 
 def test_warm_solve_stays_single_level(trap):
