@@ -38,6 +38,7 @@ import numpy as np
 from .errors import DomainError
 from .fields import current, density, vector_potential
 from .grid import (
+    BLOCK_BYTES,
     GridSpec,
     WaveFunction,
     inner,
@@ -96,8 +97,9 @@ class StateFields:
     - ``J``: the phase current ``fields.current`` from ``grad``, two real arrays;
     - ``A``: ``fields.vector_potential`` of the padded spectrum rho_hat of
       rho = |u|^2, one pruned padded transform and two pruned padded
-      inverses; with a pair kernel (R > 0, not on a coarse level) it keeps
-      ``rho_hat_sq`` = |rho_hat|^2, the pair term's input, in place of rho_hat;
+      inverses; with a pair kernel (R > 0, and not in a solve or in
+      ``verify``) it also sums from rho_hat the pair term P of
+      ``manybody.product_state_energy`` and keeps only that float;
     - ``kinetic``, ``A_dot_J``, ``rho_A2``: int |grad u|^2, int A.J, int rho |A|^2.
 
     The density ``fields.density`` is formed on construction, unless the
@@ -131,8 +133,16 @@ class StateFields:
     def A(self) -> np.ndarray:
         rho_hat = padded_rfft(self.spec, self.rho)
         A = vector_potential(self.spec, rho_hat, self.kernels)
-        if self.kernels.grad_w_sq_fft is not None:  # the pair term's one input
-            self.rho_hat_sq = rho_hat.real**2 + rho_hat.imag**2
+        if self.kernels.grad_w_sq_fft is not None:
+            # P = int (|grad w_R|^2 * rho) rho by Parseval: h^4/(2n)^2 sum_k
+            # w(kx) g_sq(k) |rho_hat(k)|^2 over the half spectrum, w = 1 on
+            # the columns kx = 0 and n, 2 on the others, which also stand
+            # for their mirror images; formed in rho_hat's buffer
+            re = np.square(rho_hat.real, out=rho_hat.real)
+            re += np.square(rho_hat.imag, out=rho_hat.imag)
+            re *= self.kernels.grad_w_sq_fft
+            total = 2.0 * re.sum() - re[:, 0].sum() - re[:, -1].sum()
+            self.P = float(total) * self.spec.h**4 / (2 * self.spec.n) ** 2
         return A
 
     @cached_property
@@ -181,7 +191,7 @@ def _evaluate(
     energy; the gradient adds 3 padded and two one-axis derivatives, each
     an fft/ifft pair along one axis of an n x n array (the work of one
     n x n transform).  For beta = 0 only the spectrum of u, plus one
-    inverse for the gradient.  G frees grad u once it has read it.
+    inverse for the gradient.  G is formed in the buffers of grad u.
     """
     spec, v, rho = fields.spec, fields.values, fields.rho
     V = trap_values(spec, params.trap)
@@ -202,8 +212,9 @@ def _evaluate(
     (ax, ay), (jx, jy) = fields.A, fields.J
 
     # W from the gauge-covariant current Q = J + beta rho A: one blocked
-    # convolution of F(Q_y) i Sx - F(Q_x) i Sy.  W comes before G: G's
-    # temporaries alongside the convolution's raise the peak RSS.
+    # convolution of F(Q_y) i Sx - F(Q_x) i Sy.  W comes before G: formed
+    # after G's linear part, once grad u is freed, the eval-n512 peak RSS
+    # read 99.2 MB against 95.0 MB.
     sx, sy = fields.kernels.grad_w_fft
     W = (-2.0 * beta * spec.h**2) * padded_convolution(
         spec, (beta * rho * ay + jy, sx), (beta * rho * ax + jx, sy), factor=1j
@@ -213,27 +224,35 @@ def _evaluate(
     # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint
     # (the spectral product rule only holds up to aliasing).  The linear
     # part -lap u - i beta div(A u) = -d_x(u_x + i beta A_x u)
-    # - d_y(u_y + i beta A_y u) reuses the cached gradient; each one-axis
-    # derivative is an fft/ifft pair along its own axis, equal to the 2-D
-    # spectral one with the same zeroed Nyquist mode.  Both are formed in
-    # place, in G and in t, which first holds i beta u.
+    # - d_y(u_y + i beta A_y u) is formed in the buffers of the cached
+    # gradient, after A.grad u has read it; each one-axis derivative is an
+    # fft/ifft pair along its own axis, equal to the 2-D spectral one with
+    # the same zeroed Nyquist mode.  The products with i beta u and with
+    # (beta^2 |A|^2 + V + W) u are formed BLOCK_BYTES of rows at a time, so
+    # only A.grad u is a full-size temporary.
     ux, uy = fields.grad
-    t = (1j * beta) * v
-    G = np.multiply(ax, t)
-    G += ux
-    np.fft.fft(G, axis=1, out=G)
-    np.multiply(-1j * kx, G, out=G)
-    np.fft.ifft(G, axis=1, out=G)
-    np.multiply(ay, t, out=t)
-    t += uy
-    np.fft.fft(t, axis=0, out=t)
-    np.multiply(-1j * ky, t, out=t)
-    G += np.fft.ifft(t, axis=0, out=t)
-    np.multiply(ax, ux, out=t)
-    t += ay * uy
-    del ux, uy, fields.grad  # G's last read of grad u
-    G -= np.multiply(1j * beta, t, out=t)
-    G += np.multiply(beta**2 * (ax**2 + ay**2) + V + W, v, out=t)
+    del fields.grad  # G is written into grad u
+    s = np.empty_like(ux)  # A.grad u
+    step = max(1, BLOCK_BYTES // (16 * spec.n))
+    blocks = [slice(lo, lo + step) for lo in range(0, spec.n, step)]
+    for rows in blocks:
+        a_x, a_y, t = ax[rows], ay[rows], (1j * beta) * v[rows]
+        d_x, d_y, s_b = ux[rows], uy[rows], s[rows]
+        np.multiply(a_x, d_x, out=s_b)
+        s_b += a_y * d_y
+        d_x += a_x * t
+        d_y += a_y * t
+    for d, k, axis in ((ux, kx, 1), (uy, ky, 0)):
+        np.fft.fft(d, axis=axis, out=d)
+        np.multiply(-1j * k, d, out=d)
+        np.fft.ifft(d, axis=axis, out=d)
+    G = np.add(ux, uy, out=ux)
+    G -= np.multiply(1j * beta, s, out=s)
+    del ux, uy, s
+    W += beta**2 * (ax**2 + ay**2) + V  # (beta^2 |A|^2 + V) + W, in W
+    for rows in blocks:
+        g = G[rows]
+        g += W[rows] * v[rows]
     return bd, G
 
 

@@ -140,8 +140,9 @@ class KernelSet:
     ``grad_w_fft`` is (Sx, Sy), the spectra of the two components being i Sx
     and i Sy (``sample_kernels``).  ``grad_w_sq_fft`` is None for R = 0,
     where |grad w_0|^2 is not locally integrable and the singular two-body
-    term is only offered for R > 0, and on the coarse grids of ``restrict``,
-    where only the solver reads the kernels.  The samples are not kept.
+    term is only offered for R > 0, and in ``gradient_kernels`` and
+    ``restrict``, for the evaluations of a solve and of ``verify``, which
+    never read the pair term.  The samples are not kept.
     """
 
     grad_w_fft: tuple[np.ndarray, np.ndarray]
@@ -169,7 +170,7 @@ def sample_kernels(spec: GridSpec, R: float) -> KernelSet:
 def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
     """The gradient kernels of ``spec`` restricted to the coarser grid ``coarse`` of its box.
 
-    The pair kernel is not restricted (None): no coarse level reads it.
+    The pair kernel is not restricted (None): no level of a solve reads it.
     The padded grids of both have the period 4L, so the padded DFT index
     m is the same wavenumber on both.  Each half spectrum keeps its
     |m| < n_c rows and columns, scaled by (h / h_c)^2 for the h^2 of the
@@ -198,3 +199,8 @@ def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
 def kernels_for(spec: GridSpec, R: float) -> KernelSet:
     """Memoized ``sample_kernels``; KernelSets are immutable by convention."""
     return sample_kernels(spec, R)
+
+
+def gradient_kernels(spec: GridSpec, R: float) -> KernelSet:
+    """The gradient spectra of ``kernels_for(spec, R)`` alone: evaluations with them sum no P."""
+    return KernelSet(kernels_for(spec, R).grad_w_fft, None)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .functional import FunctionalParams, StateFields, energy, state_fields
+from .functional import FunctionalParams, energy, state_fields
 from .grid import WaveFunction, convolve, integrate
 
 
@@ -53,26 +53,12 @@ class ManyBodyBreakdown:
         return self.one_body + self.mixed + self.three_body + self.singular
 
 
-def _pair_term(fields: StateFields) -> float:
-    """int (|grad w_R|^2 * rho) rho by Parseval over the state's padded density spectrum.
-
-    P = h^4/(2n)^2 sum_k w(kx) Re g_sq(k) |rho_hat(k)|^2 over the half
-    spectrum, where w is 1 for kx = 0 and kx = n and 2 for the columns
-    that also stand for their mirror images; no transform is made.  It
-    reads the |rho_hat|^2 that ``fields.A``, formed by the energy, keeps.
-    """
-    spec = fields.spec
-    terms = fields.kernels.grad_w_sq_fft * fields.rho_hat_sq
-    total = 2.0 * terms.sum() - terms[:, 0].sum() - terms[:, -1].sum()
-    return float(total) * spec.h**4 / (2 * spec.n) ** 2
-
-
 def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBreakdown:
     """Exact per-particle energy of the N-fold product of u.
 
     It reads the fields that ``state_fields`` keeps on u: after
-    ``energy`` on u it costs no transform (the pair term is a sum over
-    the kept squared modulus of the padded density spectrum).
+    ``energy`` on u it costs no transform (the pair term is the float that
+    the energy summed when it formed the padded density spectrum).
     """
     fields = state_fields(u, params.R)
     bd = energy(fields, params)
@@ -82,7 +68,8 @@ def product_state_energy(u: WaveFunction, params: ManyBodyParams) -> ManyBodyBre
     if beta == 0.0:
         return ManyBodyBreakdown(one_body, 0.0, 0.0, 0.0)
     three_body = (N - 2) / (N - 1) * bd.quartic
-    singular = beta**2 / (N - 1) * _pair_term(fields)
+    # P = int (|grad w_R|^2 * rho) rho, summed by the energy (``StateFields.A``)
+    singular = beta**2 / (N - 1) * fields.P
     return ManyBodyBreakdown(one_body, bd.mixed, three_body, singular)
 
 

@@ -102,7 +102,7 @@ from .functional import (
     energy_and_gradient,
     sphere_project,
 )
-from .kernels import KernelSet, TrapPotential, kernels_for, restrict
+from .kernels import KernelSet, TrapPotential, gradient_kernels, restrict
 
 BOUNDARY_MASS_WARN = 1e-8
 MAX_BACKTRACKS = 60
@@ -301,7 +301,7 @@ def minimize(
     """
     levels: list[tuple[int, int]] = []  # (n, iterations) of each level
     warnings: list[str] = []
-    kernels = kernels_for(spec, params.R)
+    kernels = gradient_kernels(spec, params.R)  # no level reads the pair term
     if warm_start is None:
         # COARSEST_N, 2 COARSEST_N, ..., n; only n when n < 2 COARSEST_N
         depth = spec.n.bit_length() - COARSEST_N.bit_length()

@@ -19,7 +19,7 @@ from . import geometry
 from .fields import curl_A, density
 from .functional import FunctionalParams, StateFields, energy, state_fields
 from .grid import GridSpec, WaveFunction, integrate, spectral_gradient
-from .kernels import SmearedCoulomb, TrapPotential, kernels_for, lp_norm_grad_w, trap_values
+from .kernels import SmearedCoulomb, TrapPotential, gradient_kernels, lp_norm_grad_w, trap_values
 from .manybody import ManyBodyParams, mixed_term_crosscheck, product_state_energy
 
 # the grid of the state-based suites
@@ -92,11 +92,12 @@ def evaluated(cases: Iterable[tuple[WaveFunction, FunctionalParams]]) -> list[tu
 
     Each case's energy and ``_magnetic_lower_bound`` read fields built for
     it alone, not kept on the state: the list holds every state, and each
-    state's fields would stay with it.
+    state's fields would stay with it.  Their kernels carry no pair kernel,
+    as in a solve, since no check here reads the pair term.
     """
     out = []
     for u, p in cases:
-        fields = StateFields(u, kernels_for(u.grid, p.R))
+        fields = StateFields(u, gradient_kernels(u.grid, p.R))
         out.append((u, p, energy(fields, p), _magnetic_lower_bound(fields, p)))
     return out
 

@@ -328,6 +328,24 @@ def test_solver_start_and_verify_cases_keep_no_fields(spec, trap):
     assert not any(attached_fields(u) for u, _ in cases)
 
 
+def test_verify_cases_form_no_pair_term(spec, trap, monkeypatch):
+    real_fields, built = verify.StateFields, []
+
+    def recording_fields(*args):
+        built.append(real_fields(*args))
+        return built[-1]
+
+    monkeypatch.setattr(verify, "StateFields", recording_fields)
+    params = FunctionalParams(beta=1.0, R=0.2, trap=trap)
+    rng = np.random.default_rng(17)
+    cases = verify.evaluated([(smooth_state(spec, rng), params) for _ in range(2)])
+    assert len(built) == 2
+    assert all(f.kernels.grad_w_sq_fft is None and "P" not in vars(f) for f in built)
+    # the same breakdown as from the fields that keep P
+    for u, p, bd, _ in cases:
+        assert bd == energy(WaveFunction(spec, u.values.copy()), p)
+
+
 @pytest.mark.parametrize("beta, R", [(8.0, 1.0), (4.0, 0.5)])
 def test_density_lower_bound_holds_at_smeared_minimizers(spec, trap, beta, R):
     # at these minimizers the magnetic kinetic energy lies below the R = 0

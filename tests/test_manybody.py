@@ -4,7 +4,7 @@ import pytest
 from avfield.errors import DomainError
 from avfield.fields import density, vector_potential
 from avfield.functional import FunctionalParams, energy
-from avfield.grid import GridSpec, WaveFunction, convolve, gaussian_state, integrate
+from avfield.grid import GridSpec, WaveFunction, convolve, gaussian_state, integrate, padded_rfft
 from avfield.kernels import TrapPotential, kernels_for
 from avfield.manybody import (
     ManyBodyParams,
@@ -92,6 +92,20 @@ def test_pair_term_matches_real_space_route(trap, n, R):
     # at N = 2 and beta = 1 the singular term is the pair term itself
     pair = product_state_energy(u, ManyBodyParams(N=2, beta=1.0, R=R, trap=trap)).singular
     assert pair == pytest.approx(oracle, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+@pytest.mark.parametrize("R", [0.1, 0.4])
+def test_pair_term_is_the_parseval_sum_bit_for_bit(trap, n, R):
+    # summed where rho_hat is formed, P equals the sum over a kept |rho_hat|^2
+    spec = GridSpec(n=n, half_width=8.0)
+    u = phased_state(spec, 7)
+    rho_hat = padded_rfft(spec, density(u))
+    terms = kernels_for(spec, R).grad_w_sq_fft * (rho_hat.real**2 + rho_hat.imag**2)
+    total = 2.0 * terms.sum() - terms[:, 0].sum() - terms[:, -1].sum()
+    expected = float(total) * spec.h**4 / (2 * spec.n) ** 2
+    pair = product_state_energy(u, ManyBodyParams(N=2, beta=1.0, R=R, trap=trap)).singular
+    assert pair == expected
 
 
 def test_gap_scales_as_inverse_n(spec, trap):

@@ -469,6 +469,27 @@ def test_reference_solve_spends_few_fine_iterations(trap, monkeypatch):
     assert res.breakdown.total == pytest.approx(2.2664606841536585, rel=1e-10)
 
 
+def test_solves_carry_no_pair_kernel(trap, monkeypatch):
+    # no level reads the pair term, so no evaluation of a solve forms P
+    real_fields, built = solver.StateFields, []
+
+    def recording_fields(*args):
+        built.append(real_fields(*args))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "StateFields", recording_fields)
+    params = FunctionalParams(beta=1.0, R=0.1, trap=trap)
+    res = minimize(params, GridSpec(n=256, half_width=8.0), SolverConfig(tol_grad=1e-5))
+    assert res.level_grids == [64, 256]
+    grid = GridSpec(n=128, half_width=8.0)
+    warm = minimize(params, grid, SolverConfig(max_iters=3),
+                    warm_start=gaussian_state(grid, width=1.5, vortex=True))
+    assert warm.level_grids == [128] and warm.iterations == 3
+    assert {f.spec.n for f in built} == {64, 128, 256}
+    assert all("A" in vars(f) for f in built)
+    assert all(f.kernels.grad_w_sq_fft is None and "P" not in vars(f) for f in built)
+
+
 def test_coarse_levels_restrict_the_fine_kernels(trap, monkeypatch):
     grid = GridSpec(n=256, half_width=8.0)
     params = FunctionalParams(beta=1.0, R=0.1, trap=trap)

@@ -12,12 +12,16 @@ energy, save), seen through wrappers on the module functions it calls.  For
 each phase it prints the traced live MB when the phase ends, the traced
 peak MB during it, and the MB of arrays that the loaded state's
 ``StateFields`` keeps (its own arrays, not the state's samples or the
-kernels).  The exit code is 1 if the check fails.
+kernels).  Under the table it prints the peak resident set size of the
+process (``ru_maxrss``, in MB of 10^6 bytes as the benchmark reports it),
+which includes tracemalloc's own records.  The exit code is 1 if the check
+fails.
 """
 
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 import tempfile
 import tracemalloc
@@ -98,6 +102,8 @@ def main(argv=None) -> int:
     print(f"{'phase':<10}{'current':>10}{'peak':>10}{'kept':>10}")
     for phase, current, peak, kept in rows:
         print(f"{phase:<10}{current:>10.2f}{peak:>10.2f}{kept:>10.2f}")
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    print(f"peak RSS {rss_mb:.2f} MB")
     if reason:
         print(f"check failed: {reason}")
     return 1 if reason else 0
