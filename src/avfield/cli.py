@@ -12,8 +12,8 @@ which every bad sweep row raises before the first solve), a missing output
 directory (checked for every ``--out`` and ``--*-out`` before any command
 runs), a file that cannot be read or written, or a usage error; 2 numerical
 failure (a line search that stalls away from the round-off floor too); 3
-invariant violation found by verify; 4 a solve or a sweep row stopped
-unconverged, at ``--max-iters`` or at the floor.
+invariant violation found by verify; 4 a solve or a sweep row whose last
+iterate fails the convergence test, stopped at ``--max-iters`` or at the floor.
 An unconverged solve or sweep row is also reported on stderr (and in a
 solve report's ``warnings``), after its report, state and CSV are
 written.  A sweep row that raised a numerical failure makes the sweep
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_solver(sp, starts)
     starts.add_argument("--state-in", default=None, help="warm-start state file")
     sp.add_argument("--state-out", default=None, help="write the minimizer here")
-    sp.add_argument("--history-out", default=None, help="energy history CSV")
+    sp.add_argument("--history-out", default=None, help="energy history CSV, returned grid only")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("sweep", help="minimize along one parameter axis")

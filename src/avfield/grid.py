@@ -192,10 +192,10 @@ def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarra
 class WaveFunction:
     """Immutable complex scalar field with its cached discrete L^2 mass.
 
-    ``values`` is a read-only view of the samples (the caller's array
-    stays writable), so the mass and the fields that
-    ``functional.state_fields`` keeps on the state cannot go stale.  A NaN
-    or infinite sample raises ``DomainError``.
+    ``values`` is a read-only view, but the caller's array stays writable and
+    a write to it shows through: the caller hands it over and must not write
+    to it, or the mass and the fields ``functional.state_fields`` keeps on the
+    state go stale.  A NaN or infinite sample raises ``DomainError``.
     """
 
     grid: GridSpec

@@ -195,9 +195,9 @@ def restrict(kernels: KernelSet, spec: GridSpec, coarse: GridSpec) -> KernelSet:
     return KernelSet(tuple(band(s) for s in kernels.grad_w_fft), None)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=2)
 def kernels_for(spec: GridSpec, R: float) -> KernelSet:
-    """Memoized ``sample_kernels``; KernelSets are immutable by convention."""
+    """``sample_kernels`` of the two newest (grid, R); KernelSets are immutable by convention."""
     return sample_kernels(spec, R)
 
 

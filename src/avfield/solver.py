@@ -74,20 +74,17 @@ state, the fine convolution reads only that band: the coarse energy of a
 smooth state is the fine energy of its prolongation to 1e-13 relative,
 so the prolonged coarse minimizer mostly meets the fine tolerance as it
 is.  So once the coarsest level has converged, its minimizer is prolonged
-straight onto the requested grid and tested there by one evaluation; if it
-meets the tolerance there, that is the solve's last level, with 0
-iterations, and the grids between are skipped, otherwise the evaluation is
-dropped and the ladder is climbed.  The harmonic reference solve at n = 256
-spends 9 and 0 iterations on n = 64 and 256, as many as on n = 256 alone,
-so the whole solve runs on the coarsest grid; climbing every grid it spent
-9, 0 and 0 on n = 64, 128 and 256, and with kernels point-sampled on each
-coarse grid, which cannot resolve R < h, 18, 11 and 6 (with the product
-preconditioner).
+straight onto the requested grid and tested there by a level with
+max_iters = 0: if that level converges, it is the solve's last level and
+the grids between are skipped, otherwise it is dropped and the ladder is
+climbed.  The harmonic reference solve at n = 256 spends 9 and 0
+iterations on n = 64 and 256, as many as on n = 256 alone, so the whole
+solve runs on the coarsest grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -292,12 +289,12 @@ def minimize(
     docstring).  Each coarse level restricts the ``kernels`` of ``spec``
     to its own grid (``kernels.restrict``) and drops them with the level,
     so no coarse grid is sampled or cached.  A converged coarsest level is
-    prolonged onto n at once and, if that start meets ``tol_grad``, returned
-    as n's level, with the grids between skipped.  A coarse level that fails
-    is not fatal: the next grid then starts from its own initial state, with
-    one warning, and the levels below it are dropped from
-    ``level_iterations`` and ``level_grids``.  Warnings of the coarse levels
-    are not copied into the result; the returned grid's own are.
+    prolonged onto n at once and tested by a zero-iteration level there; if
+    that level converges, it is returned and the grids between are skipped.
+    A coarse level that fails is not fatal: the next grid then starts from
+    its own initial state, with one warning, and the levels below it are
+    dropped from ``level_iterations`` and ``level_grids``.  Warnings of the
+    coarse levels are not copied into the result; the returned grid's own are.
     """
     levels: list[tuple[int, int]] = []  # (n, iterations) of each level
     warnings: list[str] = []
@@ -324,12 +321,13 @@ def minimize(
             continue
         levels.append((coarse.n, res.iterations))
         if res.converged and coarse is grids[0] and fine is not spec:
-            # n may need no middle grid: test the prolonged minimizer there
-            done = _minimize_level(params, spec, cfg, _prolong(res.u, spec), kernels,
-                                   only_if_converged=True)
-            if done is not None:
-                res = done
+            # n may need no middle grid: a zero-iteration level there is the test
+            check = _minimize_level(params, spec, replace(cfg, max_iters=0),
+                                    _prolong(res.u, spec), kernels)
+            if check.converged:
+                res = check
                 break
+            del check  # none of the check's state is kept while the ladder climbs
         u = _prolong(res.u, fine)
         del res  # the coarse minimizer is not kept through the finer levels
     else:
@@ -358,19 +356,17 @@ def _minimize_level(
     cfg: SolverConfig,
     u: WaveFunction,
     kernels: KernelSet,
-    only_if_converged: bool = False,
-) -> SolveResult | None:
+) -> SolveResult:
     """Minimize on one grid from the normalized state ``u``.
 
     E, G, the projected gradient, its norm and the last relative drop are
-    formed once per accepted step.  The loop ends converged (gradient
-    below ``tol_grad`` at the start or after a drop below TOL_ENERGY),
-    unconverged at the round-off floor (three round-off steps in a row, or
-    no Armijo step near stationarity) or at ``max_iters`` (the last iterate
-    untested), or raises ``NumericalFailureError`` (a non-finite energy, or
-    no Armijo step away from the floor).  With ``only_if_converged`` a start
-    whose gradient is not below ``tol_grad`` returns None, and nothing of
-    its evaluation outlives the call.
+    formed once per accepted step.  Every iterate, the start included, is
+    first tested for convergence (gradient below ``tol_grad`` at the start
+    or after a drop below TOL_ENERGY); only an iterate that fails the test
+    ends the loop unconverged, at ``max_iters`` or at the round-off floor
+    (three round-off steps in a row, or no Armijo step near stationarity).
+    The loop raises ``NumericalFailureError`` on a non-finite energy or on
+    no Armijo step away from the floor.
     """
     warnings: list[str] = []
     _warn_boundary(u, "initial", warnings)
@@ -381,8 +377,6 @@ def _minimize_level(
     history = [bd.total]
     pg = sphere_project(spec, G, u)
     grad_norm = l2_norm(spec, pg)
-    if only_if_converged and not grad_norm < cfg.tol_grad:
-        return None
     rel_drop = np.inf
     tau = STEP0
     converged = False
@@ -392,12 +386,12 @@ def _minimize_level(
     # iteration
     prev: tuple[np.ndarray, np.ndarray, float] | None = None
 
-    while iterations < cfg.max_iters:
+    while True:
         if grad_norm < cfg.tol_grad and (iterations == 0 or rel_drop < TOL_ENERGY):
             converged = True
             break
-        if stagnant >= 3:
-            break  # energy at the round-off floor; grad target may be unreachable
+        if iterations == cfg.max_iters or stagnant >= 3:
+            break  # the cap, or E at the round-off floor: tol_grad may be unreachable
 
         sigma = max(1.0, abs(bd.total))
         d = sphere_project(spec, _precondition(pg, spec, params.trap, sigma), u)

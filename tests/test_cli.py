@@ -241,6 +241,17 @@ def test_state_in_excludes_seed(tmp_path, capsys):
     assert "argument --state-in: not allowed with argument --seed" in capsys.readouterr().err
 
 
+def test_a_solve_whose_last_iterate_converges_exits_0(tmp_path, capsys):
+    # the unbounded solve converges after exactly 9 iterations
+    out = tmp_path / "report.json"
+    argv = ["solve", "--beta", "1", "--R", "0.1", "--grid", "64", "--max-iters", "9",
+            "--tol-grad", "1e-5", "--out", str(out)]
+    assert run(argv) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert report["converged"] is True and report["iterations"] == 9
+    assert capsys.readouterr().err == ""
+
+
 def test_solve_report_records_the_start_used(tmp_path):
     state, cold, warm = tmp_path / "u.state", tmp_path / "cold.json", tmp_path / "warm.json"
     common = ["solve", "--beta", "0", "--grid", "32", "--box", "8"]
@@ -254,14 +265,15 @@ def test_solve_report_records_the_start_used(tmp_path):
 
 def test_seed_picks_the_random_start(tmp_path):
     # with no iterations the saved state is the start itself; the unseeded
-    # call follows a seeded one in the same process, which shares one parser
+    # call follows a seeded one in the same process, which shares one parser.
+    # The Gaussian start meets tol_grad (gradient 1.406e-07), the seeded do not
     spec = GridSpec(n=32, half_width=8.0)
     starts = {}
-    for seed in (3, None, 4):
+    for seed, code in ((3, EXIT_UNCONVERGED), (None, EXIT_OK), (4, EXIT_UNCONVERGED)):
         state, report = tmp_path / f"{seed}.state", tmp_path / "report.json"
         argv = ["solve", "--beta", "0", "--grid", "32", "--max-iters", "0",
                 "--state-out", str(state), "--out", str(report)]
-        assert run(argv + ([] if seed is None else ["--seed", str(seed)])) == EXIT_UNCONVERGED
+        assert run(argv + ([] if seed is None else ["--seed", str(seed)])) == code
         assert json.loads(report.read_text())["config"]["seed"] == seed
         starts[seed] = load_state(state)[0].values
         want = solver.initial_state(spec, SolverConfig(seed=seed)).values

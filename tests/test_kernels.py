@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from avfield.kernels import (
     sample_kernels,
     trap_values,
 )
-from avfield.solver import _prolong
+from avfield.solver import SolverConfig, _prolong, sweep
 from avfield.verify import smooth_state
 
 
@@ -141,6 +144,15 @@ def test_kernel_sampling_and_cache():
     point = sample_kernels(spec, 0.0)
     assert point.grad_w_sq_fft is None
     assert kernels_for(spec, 0.3) is kernels_for(spec, 0.3)
+
+
+def test_a_sweep_over_R_frees_the_kernels_it_has_passed():
+    spec = GridSpec(n=64, half_width=8.0)
+    first = weakref.ref(kernels_for(spec, 0.4).grad_w_fft[0])
+    problems = [FunctionalParams(beta=1.0, R=R, trap=TrapPotential()) for R in (0.4, 0.2, 0.1)]
+    assert all(row.converged for row in sweep(problems, spec, SolverConfig(tol_grad=1e-5)))
+    gc.collect()
+    assert first() is None
 
 
 FINE = GridSpec(n=256, half_width=8.0)

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -21,3 +22,16 @@ def test_traced_layer_functions_resolve():
     spec.loader.exec_module(tracing)
     for module, name, *_ in tracing.LAYER_FUNCTIONS:
         assert callable(getattr(importlib.import_module(module), name, None)), (module, name)
+
+
+def test_the_package_does_not_import_scipy():
+    # scipy is a test-only extra; function-level imports count too
+    for path in sorted(Path(avfield.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), (path.name, names)

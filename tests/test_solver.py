@@ -244,6 +244,17 @@ def test_stiff_trap_solves_converge(s, beta, R, n, tol_grad, tmp_path):
     assert json.loads(out.read_text())["converged"] is True
 
 
+def test_the_last_iterate_is_tested(spec, trap):
+    # the unbounded solve converges after exactly 9 iterations, so a cap of
+    # 9 returns the same state, which meets the tolerance
+    params = FunctionalParams(beta=1.0, R=0.1, trap=trap)
+    capped = minimize(params, spec, SolverConfig(max_iters=9, tol_grad=1e-5))
+    free = minimize(params, spec, SolverConfig(tol_grad=1e-5))
+    assert capped.iterations == free.iterations == 9
+    assert capped.converged and capped.warnings == []
+    assert capped.u.values.tobytes() == free.u.values.tobytes()
+
+
 def test_unconverged_solve_warns(spec, trap):
     res = minimize(FunctionalParams(beta=0.5, R=0.2, trap=trap), spec,
                    SolverConfig(max_iters=3, tol_grad=1e-8))
@@ -547,8 +558,10 @@ def test_a_failed_check_climbs_as_without_it(monkeypatch):
     assert res.converged and res.level_grids == [64, 128, 256]
     real = solver._minimize_level
 
-    def unchecked(*args, only_if_converged=False):
-        return None if only_if_converged else real(*args)
+    def unchecked(params, spec, cfg, u, kernels):
+        # every zero-iteration level here is the check: make it fail
+        res = real(params, spec, cfg, u, kernels)
+        return dataclasses.replace(res, converged=False) if cfg.max_iters == 0 else res
 
     monkeypatch.setattr(solver, "_minimize_level", unchecked)
     climbed = minimize(params, grid, cfg)
