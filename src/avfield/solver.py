@@ -390,7 +390,7 @@ def _minimize_level(
         if grad_norm < cfg.tol_grad and (iterations == 0 or rel_drop < TOL_ENERGY):
             converged = True
             break
-        if iterations == cfg.max_iters or stagnant >= 3:
+        if iterations >= cfg.max_iters or stagnant >= 3:
             break  # the cap, or E at the round-off floor: tol_grad may be unreachable
 
         sigma = max(1.0, abs(bd.total))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import types
 
 import numpy as np
 import pytest
@@ -559,9 +560,10 @@ def test_a_failed_check_climbs_as_without_it(monkeypatch):
     real = solver._minimize_level
 
     def unchecked(params, spec, cfg, u, kernels):
-        # every zero-iteration level here is the check: make it fail
-        res = real(params, spec, cfg, u, kernels)
-        return dataclasses.replace(res, converged=False) if cfg.max_iters == 0 else res
+        # every zero-iteration level here is the check: fail it without running it
+        if cfg.max_iters == 0:
+            return types.SimpleNamespace(converged=False)
+        return real(params, spec, cfg, u, kernels)
 
     monkeypatch.setattr(solver, "_minimize_level", unchecked)
     climbed = minimize(params, grid, cfg)
