@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import BLOCK_BYTES, GridSpec, WaveFunction, padded_convolution
+from .grid import GridSpec, WaveFunction, line_blocks, padded_convolution
 from .kernels import KernelSet
 
 
@@ -32,8 +32,7 @@ def current(
     The complex products are formed BLOCK_BYTES of rows at a time: only J is full size.
     """
     J = np.empty(v.shape), np.empty(v.shape)
-    step = max(1, BLOCK_BYTES // (16 * v.shape[1]))
-    for rows in (slice(lo, lo + step) for lo in range(0, len(v), step)):
+    for rows in line_blocks(len(v), 16 * v.shape[1]):
         for c in (0, 1):
             J[c][rows] = np.multiply(np.conj(v[rows]), grad[c][rows]).imag
     return J
@@ -43,12 +42,13 @@ def vector_potential(spec: GridSpec, rho: np.ndarray, kernels: KernelSet) -> np.
     """A^R[rho] = perp-grad w_R * rho, shape (2, n, n).
 
     ``rho`` is the n x n density or its padded spectrum ``padded_rfft(spec, rho)``.
+    Each component is convolved straight into its plane of A, scaled by the h^2 of the integral.
     """
     sx, sy = kernels.grad_w_fft
     h2 = spec.h**2
     A = np.empty((2, spec.n, spec.n))
-    np.multiply(-h2, padded_convolution(spec, (rho, sy), factor=1j), out=A[0])
-    np.multiply(h2, padded_convolution(spec, (rho, sx), factor=1j), out=A[1])
+    padded_convolution(spec, (rho, sy), factor=1j, scale=-h2, out=A[0])
+    padded_convolution(spec, (rho, sx), factor=1j, scale=h2, out=A[1])
     return A
 
 

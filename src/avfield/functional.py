@@ -20,7 +20,8 @@ each on first use and keeps it only until its last reader has run.
 ``state_fields`` keeps it on the (immutable) state, keyed by the
 identity of its ``KernelSet``, so later calls on the state reuse it:
 after ``energy`` the gradient adds only its own transforms and the
-product-state energy none (a second gradient forms grad u again).
+product-state energy none (a second gradient forms grad u, and J with
+it, again: the gradient releases both).
 Other kernels replace it, and it is freed with the state.  ``energy`` and
 ``energy_and_gradient`` also accept a ``StateFields``; the solver's
 start (possibly a caller's warm start) and ``verify.evaluated`` (whose
@@ -38,11 +39,11 @@ import numpy as np
 from .errors import DomainError
 from .fields import current, density, vector_potential
 from .grid import (
-    BLOCK_BYTES,
     GridSpec,
     WaveFunction,
     inner,
     integrate,
+    line_blocks,
     padded_convolution,
     padded_rfft,
 )
@@ -94,13 +95,17 @@ class StateFields:
       gradient; ``grad`` frees it once ``kinetic`` has read it;
     - ``grad``: (d_x u, d_y u) from the spectrum, two n x n inverses, read
       by ``J`` and by the gradient G, which frees it;
-    - ``J``: the phase current ``fields.current`` from ``grad``, two real arrays;
+    - ``J``: the phase current ``fields.current`` from ``grad``, two real
+      arrays, read by ``A_dot_J`` and by the gradient's Q, which frees it (a
+      later reader, the cross-checks of ``manybody`` and ``verify``, forms it
+      again, with grad u and the spectrum);
     - ``A``: ``fields.vector_potential`` of the padded spectrum rho_hat of
       rho = |u|^2, one pruned padded transform and two pruned padded
       inverses; with a pair kernel (R > 0, and not in a solve or in
       ``verify``) it also sums from rho_hat the pair term P of
       ``manybody.product_state_energy`` and keeps only that float;
-    - ``kinetic``, ``A_dot_J``, ``rho_A2``: int |grad u|^2, int A.J, int rho |A|^2.
+    - ``kinetic``, ``A_dot_J``, ``rho_A2``: int |grad u|^2, int A.J, int rho |A|^2;
+    - ``potential(trap)``: int V rho, kept per trap in ``potentials``.
 
     The density ``fields.density`` is formed on construction, unless the
     caller passes it in because it already has it.
@@ -111,6 +116,7 @@ class StateFields:
         self.values = u.values
         self.kernels = kernels
         self.rho = density(u) if rho is None else rho
+        self.potentials: dict[TrapPotential, float] = {}
 
     @cached_property
     def spectrum(self) -> np.ndarray:
@@ -151,13 +157,31 @@ class StateFields:
         spec, (kx, ky) = self.spec, self.spec.wavenumbers()
         return float(((kx**2 + ky**2) * np.abs(self.spectrum) ** 2).sum()) * spec.h**2 / spec.n**2
 
+    # each integrand below is formed in one n x n buffer, its second product
+    # added BLOCK_BYTES of rows at a time, with the elementwise operations
+    # (and so the bits) of the whole-array expression
     @cached_property
     def A_dot_J(self) -> float:
-        return float(integrate(self.spec, self.A[0] * self.J[0] + self.A[1] * self.J[1]))
+        (ax, ay), (jx, jy) = self.A, self.J
+        t = np.multiply(ax, jx)
+        for rows in line_blocks(self.spec.n, 8 * self.spec.n):
+            t[rows] += ay[rows] * jy[rows]
+        return float(integrate(self.spec, t))
 
     @cached_property
     def rho_A2(self) -> float:
-        return float(integrate(self.spec, self.rho * (self.A[0] ** 2 + self.A[1] ** 2)))
+        ax, ay = self.A
+        t = np.square(ax)
+        for rows in line_blocks(self.spec.n, 8 * self.spec.n):
+            t[rows] += ay[rows] ** 2
+        return float(integrate(self.spec, np.multiply(t, self.rho, out=t)))
+
+    def potential(self, trap: TrapPotential) -> float:
+        """int V rho, kept per trap: the trap is a parameter of the call, not of the fields."""
+        if trap not in self.potentials:
+            V = trap_values(self.spec, trap)
+            self.potentials[trap] = float(integrate(self.spec, V * self.rho))
+        return self.potentials[trap]
 
 
 def state_fields(u: WaveFunction | StateFields, R: float) -> StateFields:
@@ -191,12 +215,13 @@ def _evaluate(
     energy; the gradient adds 3 padded and two one-axis derivatives, each
     an fft/ifft pair along one axis of an n x n array (the work of one
     n x n transform).  For beta = 0 only the spectrum of u, plus one
-    inverse for the gradient.  G is formed in the buffers of grad u.
+    inverse for the gradient.  G is formed in the buffers of grad u, and
+    the gradient releases J: no full-size Q or (n, 2n) inverse is formed.
     """
     spec, v, rho = fields.spec, fields.values, fields.rho
     V = trap_values(spec, params.trap)
     kx, ky = spec.wavenumbers()
-    potential = float(integrate(spec, V * rho))
+    potential = fields.potential(params.trap)
     beta = params.beta
     if beta == 0.0:
         bd = EnergyBreakdown(fields.kinetic, 0.0, 0.0, potential)
@@ -209,16 +234,23 @@ def _evaluate(
     bd = EnergyBreakdown(fields.kinetic, mixed, quartic, potential)
     if not with_gradient:
         return bd, None
-    (ax, ay), (jx, jy) = fields.A, fields.J
+    ax, ay = fields.A
+    jx, jy = fields.J
+    del fields.J  # Q below is its last reader
 
     # W from the gauge-covariant current Q = J + beta rho A: one blocked
-    # convolution of F(Q_y) i Sx - F(Q_x) i Sy.  W comes before G: formed
-    # after G's linear part, once grad u is freed, the eval-n512 peak RSS
-    # read 99.2 MB against 95.0 MB.
+    # convolution of F(Q_y) i Sx - F(Q_x) i Sy, from the row spectra of Q_y
+    # and Q_x, formed BLOCK_BYTES of rows at a time (no n x n Q), each
+    # component of J freed once its Q is transformed.  W comes before G:
+    # formed after G's linear part, once grad u is freed, the eval-n512
+    # peak RSS read 99.2 MB against 95.0 MB.
     sx, sy = fields.kernels.grad_w_fft
-    W = (-2.0 * beta * spec.h**2) * padded_convolution(
-        spec, (beta * rho * ay + jy, sx), (beta * rho * ax + jx, sy), factor=1j
-    )
+    qy = _padded_rows(spec, beta, rho, ay, jy)
+    del jy
+    qx = _padded_rows(spec, beta, rho, ax, jx)
+    del jx
+    W = padded_convolution(spec, (qy, sx), (qx, sy), factor=1j, scale=-2.0 * beta * spec.h**2)
+    del qy, qx  # consumed
 
     # (-i grad + beta A)^2 u = -lap u - i beta (A.grad u + div(A u))
     # + beta^2 |A|^2 u; the symmetric form is the exact discrete adjoint
@@ -233,8 +265,7 @@ def _evaluate(
     ux, uy = fields.grad
     del fields.grad  # G is written into grad u
     s = np.empty_like(ux)  # A.grad u
-    step = max(1, BLOCK_BYTES // (16 * spec.n))
-    blocks = [slice(lo, lo + step) for lo in range(0, spec.n, step)]
+    blocks = line_blocks(spec.n, 16 * spec.n)
     for rows in blocks:
         a_x, a_y, t = ax[rows], ay[rows], (1j * beta) * v[rows]
         d_x, d_y, s_b = ux[rows], uy[rows], s[rows]
@@ -254,6 +285,15 @@ def _evaluate(
         g = G[rows]
         g += W[rows] * v[rows]
     return bd, G
+
+
+def _padded_rows(spec, beta, rho, a, j) -> np.ndarray:
+    """Row spectra ``rfft(j + beta rho a, n=2n, axis=1)``, formed BLOCK_BYTES of rows at a time."""
+    m = 2 * spec.n
+    out = np.empty((spec.n, spec.n + 1), dtype=complex)
+    for rows in line_blocks(spec.n, 16 * m):
+        np.fft.rfft(beta * rho[rows] * a[rows] + j[rows], n=m, axis=1, out=out[rows])
+    return out
 
 
 def energy(u: WaveFunction | StateFields, params: FunctionalParams) -> EnergyBreakdown:

@@ -17,9 +17,11 @@ kernel's padded spectrum is ``padded_rfft`` of its 2n x 2n sample in FFT
 order (origin at index 0, offsets ``ifftshift(padded_axis())``); an odd
 kernel's is i S, S real (``kernels``), convolved with ``factor=1j``.
 ``padded_convolution`` never forms a whole padded product: it walks the kx
-columns BLOCK_BYTES at a time, from the row spectra of its real inputs (or
-a kept padded spectrum) through the products to the inverse column pass,
-and keeps only the n primary rows for the final row pass.
+columns BLOCK_BYTES at a time, from the row spectra of its inputs (formed
+from a real field, or handed over by the caller, who may form them by
+blocks of rows) or a kept padded spectrum, through the products to the
+inverse column pass, and keeps only the n primary rows, which its final
+row pass, again BLOCK_BYTES at a time, writes scaled into one n x n array.
 """
 
 from __future__ import annotations
@@ -132,22 +134,47 @@ def padded_rfft(spec: GridSpec, f: np.ndarray) -> np.ndarray:
     return buf.T
 
 
-def padded_convolution(spec: GridSpec, *terms: tuple, factor: complex = 1.0) -> np.ndarray:
-    """Primary n x n block of ``irfft2(factor (a_1 k_1 - a_2 k_2 - ...), s=(2n, 2n))``.
+def line_blocks(lines: int, line_bytes: int) -> list[slice]:
+    """Slices covering ``lines`` rows (or columns) of ``line_bytes`` each, BLOCK_BYTES a slice.
+
+    A slice holds at least one line.
+    """
+    step = max(1, BLOCK_BYTES // line_bytes)
+    return [slice(lo, lo + step) for lo in range(0, lines, step)]
+
+
+def padded_convolution(
+    spec: GridSpec,
+    *terms: tuple,
+    factor: complex = 1.0,
+    scale: float = 1.0,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Primary n x n block of ``scale irfft2(factor (a_1 k_1 - a_2 k_2 - ...), s=(2n, 2n))``.
 
     Each term pairs a kernel's padded spectrum k with a real n x n field,
-    zero-padded and transformed here, or with a padded spectrum a
-    (``padded_rfft``); the products after the first are subtracted, in
-    order.  A real k is taken as it is (an even kernel's spectrum); the odd
-    gradient kernels' real S become their spectra i S through factor=1j.
-    At factor 1, bit for bit the unblocked result: every column is the same
-    1-D transform of the same data.  No argument is written to.
+    zero-padded and transformed here, with its (n, n+1) row spectrum
+    ``rfft(a, n=2n, axis=1)``, or with a padded spectrum a (``padded_rfft``);
+    the products after the first are subtracted, in order.  A real k is
+    taken as it is (an even kernel's spectrum); the odd gradient kernels'
+    real S become their spectra i S through factor=1j.  The result,
+    multiplied by ``scale`` row block by row block, is written to ``out``
+    (a new n x n array if None).  At factor 1, bit for bit the unblocked
+    result: every line is the same 1-D transform of the same data.  A row
+    spectrum argument is consumed: the caller must not read it afterwards
+    (the first term's holds the inverse column pass).  No other argument
+    is written to.
     """
     n, m = spec.n, 2 * spec.n
-    rows = [np.fft.rfft(a, n=m, axis=1) if a.shape == (n, n) else None for a, _ in terms]
+
+    def row_spectrum(a):
+        if a.shape == (n, n):
+            return np.fft.rfft(a, n=m, axis=1)
+        return a if a.shape == (n, n + 1) else None  # None: a padded spectrum
+
+    rows = [row_spectrum(a) for a, _ in terms]
     # the inverse column pass overwrites the first row spectrum's columns once read
-    out = rows[0] if rows[0] is not None else np.empty((n, n + 1), dtype=complex)
-    width = max(1, BLOCK_BYTES // (16 * m))
+    inverse = rows[0] if rows[0] is not None else np.empty((n, n + 1), dtype=complex)
 
     def product(i, cols):
         (a, k), r = terms[i], rows[i]
@@ -160,17 +187,20 @@ def padded_convolution(spec: GridSpec, *terms: tuple, factor: complex = 1.0) -> 
             part *= k.T[cols]
         return b
 
-    for lo in range(0, n + 1, width):
-        cols = slice(lo, lo + width)
+    for cols in line_blocks(n + 1, 16 * m):
         acc = product(0, cols)
         for i in range(1, len(terms)):
             acc -= product(i, cols)
         np.fft.ifft(acc, axis=1, out=acc)
         if factor != 1.0:
             acc *= factor  # all 2n rows: scaling a strided view would copy it
-        out[:, cols] = acc[:, :n].T
-    del rows, acc  # all but the first row spectrum, before the row pass
-    return np.fft.irfft(out, n=m, axis=1)[:, :n]
+        inverse[:, cols] = acc[:, :n].T
+    del rows, acc
+    # the row pass, into one n x n array: no (n, 2n) inverse and no scaled copy
+    out = np.empty((n, n)) if out is None else out
+    for r in line_blocks(n, 16 * m):
+        np.multiply(np.fft.irfft(inverse[r], n=m, axis=1)[:, :n], scale, out=out[r])
+    return out
 
 
 def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarray:
@@ -185,7 +215,7 @@ def convolve(spec: GridSpec, f: np.ndarray, kernel_hat: np.ndarray) -> np.ndarra
             f"kernel spectrum shape {kernel_hat.shape} does not match padded grid "
             f"({2 * n}, {n + 1})"
         )
-    return padded_convolution(spec, (f, kernel_hat)) * spec.h**2
+    return padded_convolution(spec, (f, kernel_hat), scale=spec.h**2)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -267,6 +268,32 @@ def test_uncoupled_gradient_after_a_coupled_energy(spec, trap, monkeypatch):
     bd, G = energy_and_gradient(u, params)
     assert counter.take() == (2, 0)
     assert bd == bd_ref and G.tobytes() == G_ref.tobytes()
+
+
+def test_potential_term_is_kept_per_trap(spec, trap):
+    # int V rho is formed once per trap: a second energy under the same trap
+    # forms no n x n product V rho, another trap forms and keeps its own
+    u = smooth_state(spec, np.random.default_rng(20))
+    params = FunctionalParams(beta=0.7, R=0.2, trap=trap)
+    quartic = FunctionalParams(beta=0.7, R=0.2, trap=TrapPotential(c=0.5, s=4.0))
+    for p in (params, quartic):
+        trap_values(spec, p.trap)  # V is memoized per grid and trap
+    first = energy(u, params)
+    tracemalloc.start()
+    try:
+        again = energy(u, params)
+        peak_again = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        other = energy(u, quartic)
+        peak_other = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    array = spec.n**2 * 8
+    assert again == first and peak_again < array / 2
+    assert peak_other >= array
+    assert other == energy(WaveFunction(spec, u.values), quartic)
+    assert other.potential != first.potential and other.kinetic == first.kinetic
+    assert energy(u, params) == first and energy(u, quartic) == other
 
 
 def attached_fields(u):

@@ -140,8 +140,8 @@ def test_convolution_of_gaussians(spec):
 def test_padded_transforms_are_the_unpruned_numpy_ones(monkeypatch, n):
     # kx-major storage and column blocks change where the spectra lie in
     # memory, not one bit of their values (a real kernel taken with factor
-    # 1j is checked to round-off), and neither routine writes to its
-    # arguments.  The n + 1 columns leave a ragged last block: one column
+    # 1j is checked to round-off), and neither routine writes to a real
+    # field or a padded spectrum.  The n + 1 columns leave a ragged last block: one column
     # from n = 128 up, and 2 or 3 of 5-column blocks at n = 16, 256 and 512.
     spec = GridSpec(n=n, half_width=4.0)
     rng = np.random.default_rng(n)
@@ -179,6 +179,36 @@ def test_padded_transforms_are_the_unpruned_numpy_ones(monkeypatch, n):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
         assert np.array_equal(s, kh.imag)
     assert np.array_equal(f, f0) and np.array_equal(g, g0) and np.array_equal(fh, fh0)
+
+
+@pytest.mark.parametrize("n, blocks", [(64, (1, 1)), (256, (9, 8))])
+def test_padded_convolution_takes_row_spectra_and_writes_its_scaled_result(n, blocks):
+    # (column blocks, row blocks): at n = 256 the last of 9 column blocks
+    # holds one column of the n + 1
+    assert (len(grid.line_blocks(n + 1, 32 * n)), len(grid.line_blocks(n, 32 * n))) == blocks
+    spec = GridSpec(n=n, half_width=4.0)
+    rng = np.random.default_rng(n + 1)
+    f, g = rng.normal(size=(2, n, n))
+    f0, g0 = f.copy(), g.copy()
+    kh = padded_rfft(spec, np.fft.ifftshift(rng.normal(size=(2 * n, 2 * n))))
+    s = kh.imag.copy(order="F")
+    want = padded_convolution(spec, (f, s), (g, kh), factor=1j)
+
+    def rows(a):
+        return np.fft.rfft(a, n=2 * n, axis=1)
+
+    # a row spectrum gives the bytes of its real field, in either place
+    for terms in ([(rows(f), s), (g, kh)], [(f, s), (rows(g), kh)],
+                  [(rows(f), s), (rows(g), kh)]):
+        assert padded_convolution(spec, *terms, factor=1j).tobytes() == want.tobytes()
+    scale = -2.0 * 0.7 * spec.h**2
+    got = padded_convolution(spec, (f, s), (g, kh), factor=1j, scale=scale)
+    assert got.tobytes() == (scale * want).tobytes()
+    out = np.full((2, n, n), np.nan)
+    got = padded_convolution(spec, (f, s), (g, kh), factor=1j, scale=scale, out=out[1])
+    assert np.shares_memory(got, out[1]) and out[1].tobytes() == (scale * want).tobytes()
+    assert np.isnan(out[0]).all()
+    assert np.array_equal(f, f0) and np.array_equal(g, g0)
 
 
 def test_wavefunction_normalization(spec):

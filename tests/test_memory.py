@@ -2,21 +2,26 @@
 
 The peaks are counted in n x n float64 arrays.  The in-place code peaks at
 16.1 arrays in the kernel build, which keeps 6.0 (three real spectra), and
-at 10.1 in the gradient, whose padded convolution holds one column block
-per term.  Sampling both gradient components, as a (2, 2n, 2n) array, the
+at 8.1 in the gradient after the energy, whose padded convolution reads the
+row spectra of Q, formed by blocks of rows (no n x n Q), frees each
+component of J once its Q is transformed, and holds one column block per
+term.  Sampling both gradient components, as a (2, 2n, 2n) array, the
 kernel build reads 20.1, and with a full-size temporary per intermediate
 (a centred sample shifted by a copy, a new array per product) more;
-complex gradient spectra keep 10.1.  The gradient reads 11.1 with whole
-padded spectra of Q, or with a real kernel block cast to complex through
-numpy's 8192-element buffer, and 14.1 with all columns in one block.  G,
-built in the buffers of grad u after W, adds 1.5 arrays at n = 256 to what
-W's convolution leaves, 2.0 with its products taken through one real n x n
-buffer, and 3.3 with its own complex G and temporaries.  The energy of a
-fresh state peaks at 14.1 when the pair term P is summed in the buffer of
-rho_hat, and at 15.0 when |rho_hat|^2 is a new array.  After the energy,
-the gradient and the product-state energy a state's fields keep 5.0 arrays
-(rho, A and J), 7.0 when they kept |rho_hat|^2, and 15.0 when they kept
-the spectrum, grad u and rho_hat.  Each bound lies in between.
+complex gradient spectra keep 10.1.  The gradient reads 10.1 with n x n Q_x
+and Q_y beside J, 11.1 with whole padded spectra of Q, or with a real
+kernel block cast to complex through numpy's 8192-element buffer, and 14.1
+with all columns in one block.  G, built in the buffers of grad u after W,
+adds 1.5 arrays at n = 256 to what W's convolution leaves, 2.0 with its
+products taken through one real n x n buffer, and 3.3 with its own complex
+G and temporaries.  The energy of a
+fresh state is traced at n = 256, where a column block is half an array (at
+n = 128 it is two, and the blocks hide what is full size): 10.5 with the
+row pass of each convolution written straight into A, 11.0 when the (n, 2n)
+inverse sat beside A.  After the energy, the gradient and the
+product-state energy a state's fields keep 3.0 arrays (rho and A), 5.0
+when they kept J, 7.0 when they kept |rho_hat|^2 too, and 15.0 when they
+kept the spectrum, grad u and rho_hat.  Each bound lies in between.
 """
 
 import tracemalloc
@@ -55,14 +60,15 @@ def test_gradient_after_energy_peak():
     kernels_for(SPEC, params.R)
     u = gaussian_state(SPEC, width=1.5, vortex=True)
     energy(u, params)  # A, J and the derivatives are kept on u
-    assert traced_peak(lambda: energy_and_gradient(u, params)) < 10.5
+    assert traced_peak(lambda: energy_and_gradient(u, params)) < 9.0
 
 
 def test_energy_peak():
+    spec = GridSpec(n=256, half_width=8.0)
     params = FunctionalParams(beta=1.0, R=0.1, trap=TrapPotential())
-    energy(gaussian_state(SPEC), params)  # the kernels, V and k, memoized
-    u = gaussian_state(SPEC, width=1.5, vortex=True)
-    assert traced_peak(lambda: energy(u, params)) < 14.5
+    energy(gaussian_state(spec), params)  # the kernels, V and k, memoized
+    u = gaussian_state(spec, width=1.5, vortex=True)
+    assert traced_peak(lambda: energy(u, params)) * ARRAY / (spec.n**2 * 8) < 10.75
 
 
 def test_gradient_builds_G_in_the_buffers_of_grad_u(monkeypatch):
@@ -101,10 +107,12 @@ def test_state_keeps_only_what_a_later_call_reads():
             if k not in ("values", "kernels")}
     arrays = [a for v in kept.values() for a in (v if isinstance(v, tuple) else (v,))
               if isinstance(a, np.ndarray)]
-    # rho, A and J: 5.0; with |rho_hat|^2 7.0; with the spectrum, grad u and rho_hat 15.0
-    assert sum(a.nbytes for a in arrays) / ARRAY < 5.5
+    # rho and A: 3.0; with J 5.0; with |rho_hat|^2 7.0; with the spectrum,
+    # grad u and rho_hat 15.0
+    assert sum(a.nbytes for a in arrays) / ARRAY < 3.5
     assert not any(np.iscomplexobj(a) for a in arrays)
     # the pair term is kept as its value, with no padded half spectrum
     assert isinstance(kept["P"], float)
     assert not any(a.shape == (2 * SPEC.n, SPEC.n + 1) for a in arrays)
     assert "grad" not in kept
+    assert "J" not in kept  # the gradient's Q was its last reader

@@ -17,6 +17,9 @@ def test_toy_run_prints_every_phase_and_writes_nothing_here(tmp_path):
                                     "save", "check"]
     current, peak, kept = ([float(r[i]) for r in rows] for i in (1, 2, 3))
     assert all(0 < c <= p for c, p in zip(current, peak))
+    # each phase's minor page faults, a count; the set-up maps the kernels' pages
+    faults = [int(r[4]) for r in rows]
+    assert faults[0] > 0 and min(faults) >= 0
     # nothing is kept before the energy, and the fields outlive the operation
     assert kept[1] == 0 and kept[2] > 0 and kept[-1] > 0
     # under the table, the process's peak RSS, which holds every traced peak

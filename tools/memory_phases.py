@@ -10,9 +10,11 @@ operation and that operation's check under ``tracemalloc``.  The phases of
 the operation are its own calls (load, energy, gradient, product-state
 energy, save), seen through wrappers on the module functions it calls.  For
 each phase it prints the traced live MB when the phase ends, the traced
-peak MB during it, and the MB of arrays that the loaded state's
+peak MB during it, the MB of arrays that the loaded state's
 ``StateFields`` keeps (its own arrays, not the state's samples or the
-kernels).  Under the table it prints the peak resident set size of the
+kernels), and the minor page faults the process took during it
+(``ru_minflt``: pages the allocator mapped afresh, which the operation's
+time pays for).  Under the table it prints the peak resident set size of the
 process (``ru_maxrss``, in MB of 10^6 bytes as the benchmark reports it),
 which includes tracemalloc's own records.  The exit code is 1 if the check
 fails.
@@ -49,6 +51,10 @@ def kept_mb(u) -> float:
                if k not in ("values", "kernels")) / 1e6
 
 
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--seed", type=int, default=1)
@@ -59,12 +65,14 @@ def main(argv=None) -> int:
 
     rows = []
     state = []  # the operation's loaded state, once loaded
+    faults = [minor_faults()]  # at the start of the running phase
 
     def record(phase: str) -> None:
         current, peak = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
         kept = kept_mb(state[0]) if state else 0.0
-        rows.append((phase, current / 1e6, peak / 1e6, kept))
+        faults.append(minor_faults())
+        rows.append((phase, current / 1e6, peak / 1e6, kept, faults[-1] - faults[-2]))
 
     def wrap(fn, phase):
         def wrapper(*a, **kw):
@@ -98,10 +106,11 @@ def main(argv=None) -> int:
             tracemalloc.stop()
 
     print(f"eval-n512{' (toy)' if args.toy else ''} seed {args.seed}, n = {w.n}: "
-          "traced MB at the end of each phase and its peak, and the state's kept fields")
-    print(f"{'phase':<10}{'current':>10}{'peak':>10}{'kept':>10}")
-    for phase, current, peak, kept in rows:
-        print(f"{phase:<10}{current:>10.2f}{peak:>10.2f}{kept:>10.2f}")
+          "traced MB at the end of each phase and its peak, the state's kept fields "
+          "and the phase's minor page faults")
+    print(f"{'phase':<10}{'current':>10}{'peak':>10}{'kept':>10}{'minflt':>10}")
+    for phase, current, peak, kept, minflt in rows:
+        print(f"{phase:<10}{current:>10.2f}{peak:>10.2f}{kept:>10.2f}{minflt:>10}")
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     print(f"peak RSS {rss_mb:.2f} MB")
     if reason:
